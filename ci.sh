@@ -9,6 +9,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> perfbench tests (the benchmark's own package)"
+# perfbench is a package of its own, outside the workspace, that calls
+# sssp::dijkstra_to and the serve API: building it here surfaces an API
+# break before the benchmark does.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cachegraph-tidy"
 cargo run -q -p cachegraph-tidy
 

@@ -44,6 +44,13 @@ impl EdgeListBuilder {
         &self.edges
     }
 
+    /// The transpose: every edge `u -> v` as `v -> u`, with the same
+    /// weight, in the same order.
+    pub fn reversed(&self) -> Self {
+        let edges = self.edges.iter().map(|e| Edge::new(e.to, e.from, e.weight)).collect();
+        Self { n: self.n, edges }
+    }
+
     /// Shuffle the edge insertion order (Fisher-Yates, deterministic in
     /// `seed`). Adjacency-array contents are unaffected apart from
     /// within-vertex order, but the arena adjacency list's nodes become
@@ -112,6 +119,15 @@ mod tests {
         before.sort_by_key(|e| (e.from, e.to));
         after.sort_by_key(|e| (e.from, e.to));
         assert_eq!(before, after, "multiset must be preserved");
+    }
+
+    #[test]
+    fn reversed_flips_every_edge_in_order() {
+        let mut b = EdgeListBuilder::new(3);
+        b.add(0, 1, 3).add(2, 1, 4).add(1, 1, 5);
+        let r = b.reversed();
+        assert_eq!(r.num_vertices(), 3);
+        assert_eq!(r.edges(), &[Edge::new(1, 0, 3), Edge::new(1, 2, 4), Edge::new(1, 1, 5)]);
     }
 
     #[test]

@@ -9,11 +9,18 @@
 //! * for small instances (`n ≤ apsp_threshold`) an exact APSP table via
 //!   the BDL-tiled Floyd-Warshall of §3.1 — point-to-point distance
 //!   becomes one array read;
-//! * otherwise *landmark sketches*: forward and reverse Dijkstra trees
-//!   from a few evenly spaced landmarks, giving a triangle-inequality
-//!   upper bound per query. Sketches are advisory — queries are still
-//!   answered exactly by a target-pruned cancellable Dijkstra — but the
-//!   bound ships in the answer so clients can see how tight it was;
+//! * otherwise the reverse (transposed) CSR graph, kept for the life of
+//!   the engine: `path` and `reach` are answered exactly by a
+//!   cancellable bidirectional Dijkstra ([`distance_to`]) that searches
+//!   forward from the source over the graph and backward from the
+//!   target over the reverse graph, and stops where the two meet, so a
+//!   point query touches a small ball around each endpoint instead of
+//!   about half the graph;
+//! * above the threshold too, *landmark sketches*: forward and reverse
+//!   Dijkstra trees from a few evenly spaced landmarks, giving a
+//!   triangle-inequality upper bound per query. Sketches are advisory —
+//!   queries are still answered exactly by the search — but the bound
+//!   ships in the answer so clients can see how tight it was;
 //! * for small instances, an exact reachability matrix via the
 //!   *parallel* tiled boolean closure — `reach` becomes one bit read;
 //! * a companion bipartite graph for the `match` op, solved once (and
@@ -21,8 +28,8 @@
 //!
 //! The `sssp` op runs the parallel delta-stepping driver at query time:
 //! a full single-source tree is exactly the shape where the TaskGraph
-//! parallelism pays, unlike point queries, which a target-pruned serial
-//! Dijkstra answers with less work.
+//! parallelism pays, unlike point queries, which the serial
+//! bidirectional search answers with less work.
 //!
 //! Every potentially long computation takes the caller's cancellation
 //! closure; the engine itself never looks at clocks or the
@@ -39,7 +46,7 @@ use cachegraph_graph::{
 use cachegraph_layout::BlockLayout;
 use cachegraph_matching::{find_matching_partitioned_parallel_cancellable, PartitionScheme};
 use cachegraph_obs::Json;
-use cachegraph_sssp::{delta_stepping_parallel_cancellable, dijkstra_to};
+use cachegraph_sssp::{delta_stepping_parallel_cancellable, dijkstra_to, distance_to};
 use std::sync::Mutex;
 use std::sync::{MutexGuard, PoisonError};
 
@@ -123,13 +130,22 @@ struct Landmark {
     to: Vec<Weight>,
 }
 
+/// How the engine answers exact point-to-point distances, chosen by
+/// instance size.
+enum Exact {
+    /// Row-major APSP distances (`n ≤ apsp_threshold`).
+    Table(Vec<Weight>),
+    /// The reverse graph, which [`distance_to`] searches backward from
+    /// the target (above the threshold).
+    Search(AdjacencyArray),
+}
+
 /// The loaded graph and its precomputed artifacts. Shared across the
 /// worker pool behind an `Arc`; all query methods take `&self`.
 pub struct QueryEngine {
     graph: AdjacencyArray,
     n: usize,
-    /// Row-major exact APSP distances (small instances only).
-    apsp: Option<Vec<Weight>>,
+    exact: Exact,
     /// Exact reachability bits (small instances only), built by the
     /// parallel tiled boolean closure.
     closure: Option<BitMatrix>,
@@ -148,27 +164,30 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Build the engine: generate the graph, then precompute either the
     /// APSP table (tiled FW, cancellable with a never-firing closure —
-    /// startup has no deadline) or landmark sketches.
+    /// startup has no deadline) or the reverse graph and the landmark
+    /// sketches.
     pub fn build(cfg: &EngineConfig) -> Self {
         let threads = cfg.threads.max(1);
         let builder = generators::random_directed(cfg.n, cfg.density, cfg.max_weight, cfg.seed);
         let graph = builder.build_array();
-        let (apsp, closure, landmarks) = if cfg.n <= cfg.apsp_threshold {
+        let (exact, closure, landmarks) = if cfg.n <= cfg.apsp_threshold {
             let reach = transitive_closure_tiled_parallel(
                 BitMatrix::from_graph(&graph),
                 cfg.tile.max(1),
                 threads,
             );
-            (Some(Self::apsp_table(&builder, cfg)), Some(reach), Vec::new())
+            (Exact::Table(Self::apsp_table(&builder, cfg)), Some(reach), Vec::new())
         } else {
-            (None, None, Self::sketch(&builder, &graph, cfg))
+            let reverse = builder.reversed().build_array();
+            let landmarks = Self::sketch(&graph, &reverse, cfg);
+            (Exact::Search(reverse), None, landmarks)
         };
         let bip = generators::random_bipartite(cfg.n, cfg.density.max(0.02), cfg.seed + 1);
         let bip_edges = bip.edges().to_vec();
         Self {
             graph,
             n: cfg.n,
-            apsp,
+            exact,
             closure,
             landmarks,
             bipartite: bip.build_array(),
@@ -200,14 +219,13 @@ impl QueryEngine {
 
     /// Landmark sketches: forward trees on the graph, reverse trees on
     /// the transposed graph, from `landmarks` evenly spaced vertices.
-    fn sketch(builder: &EdgeListBuilder, graph: &AdjacencyArray, cfg: &EngineConfig) -> Vec<Landmark> {
+    fn sketch(
+        graph: &AdjacencyArray,
+        reverse: &AdjacencyArray,
+        cfg: &EngineConfig,
+    ) -> Vec<Landmark> {
         let n = cfg.n;
         let k = cfg.landmarks.clamp(1, n);
-        let mut reversed = EdgeListBuilder::new(n);
-        for e in builder.edges() {
-            reversed.add(e.to, e.from, e.weight);
-        }
-        let rgraph = reversed.build_array();
         let mut never = || false;
         (0..k)
             .map(|i| {
@@ -215,7 +233,7 @@ impl QueryEngine {
                 // tidy: allow(panic-policy) -- never-firing closures cannot cancel
                 let from = dijkstra_to(graph, l, None, &mut never).expect("uncancellable").dist;
                 // tidy: allow(panic-policy) -- never-firing closures cannot cancel
-                let to = dijkstra_to(&rgraph, l, None, &mut never).expect("uncancellable").dist;
+                let to = dijkstra_to(reverse, l, None, &mut never).expect("uncancellable").dist;
                 Landmark { from, to }
             })
             .collect()
@@ -228,7 +246,7 @@ impl QueryEngine {
 
     /// True when the exact APSP table was precomputed.
     pub fn has_apsp(&self) -> bool {
-        self.apsp.is_some()
+        matches!(self.exact, Exact::Table(_))
     }
 
     fn check_vertex(&self, v: VertexId) -> Result<(), QueryError> {
@@ -250,7 +268,11 @@ impl QueryEngine {
     }
 
     /// Exact `src -> dst` distance: one table read when the APSP table
-    /// exists, otherwise a target-pruned cancellable Dijkstra.
+    /// exists, otherwise the cancellable bidirectional Dijkstra over the
+    /// graph and the reverse graph, which polls `cancel` before its
+    /// first settle and then every
+    /// [`CANCEL_CHECK_INTERVAL`](cachegraph_sssp::CANCEL_CHECK_INTERVAL)
+    /// settles over both sides.
     pub fn distance(
         &self,
         src: VertexId,
@@ -259,13 +281,14 @@ impl QueryEngine {
     ) -> Result<Weight, QueryError> {
         self.check_vertex(src)?;
         self.check_vertex(dst)?;
-        if let Some(apsp) = &self.apsp {
-            return Ok(apsp[src as usize * self.n + dst as usize]);
+        match &self.exact {
+            Exact::Table(apsp) => Ok(apsp[src as usize * self.n + dst as usize]),
+            Exact::Search(reverse) => {
+                let mut poll = || cancel();
+                distance_to(&self.graph, reverse, src, dst, &mut poll)
+                    .map_err(|_| QueryError::Cancelled)
+            }
         }
-        let mut poll = || cancel();
-        let r = dijkstra_to(&self.graph, src, Some(dst), &mut poll)
-            .map_err(|_| QueryError::Cancelled)?;
-        Ok(r.dist[dst as usize])
     }
 
     /// The `path` answer payload: exact distance, reachability, and the
@@ -393,13 +416,21 @@ mod tests {
         assert!(!e.has_apsp());
         let g = generators::random_directed(cfg.n, cfg.density, cfg.max_weight, cfg.seed)
             .build_array();
-        let plain = dijkstra_binary_heap(&g, 3);
-        for dst in [0u32, 50, 120, 199] {
-            let d = e.distance(3, dst, &|| false).expect("not cancelled");
-            assert_eq!(d, plain.dist[dst as usize], "3 -> {dst}");
-            // The sketch estimate is an upper bound on the true distance.
-            let est = e.estimate(3, dst);
-            assert!(est >= d, "estimate {est} below true distance {d}");
+        for src in [3u32, 0, 64, 131, 199] {
+            let plain = dijkstra_binary_heap(&g, src);
+            for dst in 0..cfg.n as u32 {
+                let d = e.distance(src, dst, &|| false).expect("not cancelled");
+                assert_eq!(d, plain.dist[dst as usize], "{src} -> {dst}");
+                // The sketch estimate is an upper bound on the true distance.
+                let est = e.estimate(src, dst);
+                assert!(est >= d, "estimate {est} below true distance {d}");
+                let bit = e.reach(src, dst, &|| false).expect("not cancelled");
+                assert_eq!(
+                    bit.get("reachable"),
+                    Some(&Json::Bool(plain.dist[dst as usize] != INF)),
+                    "{src} -> {dst}: reach bit disagrees with the oracle"
+                );
+            }
         }
     }
 

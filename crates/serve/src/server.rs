@@ -367,9 +367,10 @@ impl Shared {
             return Response::Ok(hit);
         }
         // Count the solver's deadline polls: one closure call per
-        // kernel-side cancellation check (Dijkstra every 64 extract-
-        // mins, FW per tile kernel call, matching per augmentation
-        // round — see each crate's `cancel` module).
+        // kernel-side cancellation check (path/reach search on entry
+        // and every 64 settles over both sides, FW per tile kernel
+        // call, matching per augmentation round — see each crate's
+        // `cancel` module).
         // An atomic, because the parallel TaskGraph drivers (`sssp`,
         // `match`) poll the same hook from every worker thread.
         let polls = AtomicU64::new(0);

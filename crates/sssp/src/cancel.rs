@@ -1,29 +1,42 @@
-//! Cancellable Dijkstra for deadline-propagating callers.
+//! Cancellable shortest paths for deadline-propagating callers.
 //!
 //! The serve daemon must never let a long query hang a worker past its
-//! deadline: [`dijkstra_cancellable`] is the paper-faithful
-//! [`dijkstra`](crate::dijkstra) loop with two additions, neither of
-//! which touches the kernel's access pattern:
+//! deadline. Two searches take a caller's cancellation hook:
 //!
-//! * a *cancellation check* polled every [`CANCEL_CHECK_INTERVAL`]
-//!   extract-mins (the "bucket boundary" — checking per relaxation
-//!   would put a branch in the hot loop for nothing, since a deadline
-//!   is milliseconds and a bucket is microseconds);
-//! * an optional *target* vertex: point-to-point queries stop as soon
-//!   as the target is settled, since every later extraction is farther
-//!   away.
+//! * [`dijkstra_cancellable`] (and [`dijkstra_to`] over the standard
+//!   heap) is the paper-faithful [`dijkstra`](crate::dijkstra) loop
+//!   with an optional *target* vertex: it stops as soon as the target
+//!   is settled, since every later extraction is farther away. It polls
+//!   every [`CANCEL_CHECK_INTERVAL`] extract-mins (the "bucket boundary"
+//!   — checking per relaxation would put a branch in the hot loop for
+//!   nothing, since a deadline is milliseconds and a bucket is
+//!   microseconds).
+//! * [`distance_to`] is the crate's point-to-point entry: an exact
+//!   bidirectional Dijkstra. A forward search from the source over the
+//!   graph and a backward search from the target over its transpose
+//!   always advance the side with the smaller queue head, and stop once
+//!   the two heads sum to at least the best meeting distance μ. So each
+//!   side settles only vertices within about half the answer of its own
+//!   end: a point query pulls two small balls of the graph through the
+//!   cache (§3.2) instead of one ball of radius d(source, target). It
+//!   polls once before its first settle, so an already expired deadline
+//!   is honoured even by a search shorter than the interval, and then
+//!   every [`CANCEL_CHECK_INTERVAL`] settles, counted over both sides.
 //!
 //! The check is a plain `FnMut() -> bool` closure, so this crate never
 //! references the observability layer (the obs-purity fixture pair
 //! `obs_pos_cancel.rs` / `obs_neg_cancel.rs` in `cachegraph-tidy`
 //! documents exactly this seam); callers build the closure from a
 //! deadline, an `AtomicBool`, or anything else. The poll cadence is
-//! also the unit of the serve layer's `cancel_polls` trace tag: one
-//! count per [`CANCEL_CHECK_INTERVAL`] extract-mins, so a request
+//! also the unit of the serve layer's `cancel_polls` trace tag: for a
+//! `path` or `reach` query, the entry poll plus one count per
+//! [`CANCEL_CHECK_INTERVAL`] settles over both sides, so a request
 //! trace exposes how often a query could have been abandoned.
 
 use cachegraph_graph::{Graph, VertexId, Weight, INF};
 use cachegraph_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::dijkstra::SsspResult;
 use crate::NO_VERTEX;
@@ -104,23 +117,115 @@ pub fn dijkstra_to<G: Graph>(
     dijkstra_cancellable::<G, IndexedBinaryHeap>(g, source, target, cancel)
 }
 
-/// Shortest `source -> target` distance with cancellation (`INF` when
-/// unreachable).
+/// Exact shortest `source -> target` distance (`INF` when unreachable)
+/// by bidirectional Dijkstra. `reverse` must be the transpose of `g`:
+/// every arc `u -> v` of `g` as `v -> u`, with the same weight.
+///
+/// `cancel` is polled once before the first settle and then every
+/// [`CANCEL_CHECK_INTERVAL`] settles, counted over both searches;
+/// returning `true` abandons the search with [`Cancelled`].
 pub fn distance_to<G: Graph>(
     g: &G,
+    reverse: &G,
     source: VertexId,
     target: VertexId,
     cancel: &mut impl FnMut() -> bool,
 ) -> Result<Weight, Cancelled> {
-    let r = dijkstra_to(g, source, Some(target), cancel)?;
-    Ok(r.dist[target as usize])
+    let n = g.num_vertices();
+    assert_eq!(reverse.num_vertices(), n, "reverse graph size differs");
+    assert!((source as usize) < n, "source out of range");
+    assert!((target as usize) < n, "target out of range");
+    if cancel() {
+        return Err(Cancelled);
+    }
+    let mut forward = Frontier::new(n, source);
+    let mut backward = Frontier::new(n, target);
+    // μ: the shortest source -> target walk seen so far. A walk through
+    // the arc a scan just relaxed is its endpoints' labels plus the arc.
+    let mut best = if source == target { 0 } else { INF };
+    let mut since_check = 0usize;
+    while let (Some(df), Some(db)) = (forward.head(), backward.head()) {
+        // Every walk not yet seen is at least `df + db` long.
+        if df.saturating_add(db) >= best {
+            break;
+        }
+        since_check += 1;
+        if since_check >= CANCEL_CHECK_INTERVAL {
+            since_check = 0;
+            if cancel() {
+                return Err(Cancelled);
+            }
+        }
+        best = if df <= db {
+            forward.settle(g, &backward.dist, best)
+        } else {
+            backward.settle(reverse, &forward.dist, best)
+        };
+    }
+    Ok(best)
+}
+
+/// One side of [`distance_to`]: a lazy-deletion Dijkstra frontier, as
+/// in [`dijkstra_lazy`](crate::dijkstra_lazy). A vertex is pushed only
+/// when its label strictly drops, so a queued entry is stale exactly
+/// when it is larger than the vertex's label.
+struct Frontier {
+    dist: Vec<Weight>,
+    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
+}
+
+impl Frontier {
+    fn new(n: usize, root: VertexId) -> Self {
+        let mut dist = vec![INF; n];
+        dist[root as usize] = 0;
+        Self { dist, heap: BinaryHeap::from(vec![Reverse((0, root))]) }
+    }
+
+    /// The smallest label still queued, after dropping stale entries.
+    fn head(&mut self) -> Option<Weight> {
+        while let Some(&Reverse((d, u))) = self.heap.peek() {
+            if d == self.dist[u as usize] {
+                return Some(d);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Settle the head vertex and relax its arcs in `g`. Returns `best`
+    /// lowered by every walk through a relaxed arc whose far end the
+    /// other side has labelled (`other`).
+    fn settle<G: Graph>(&mut self, g: &G, other: &[Weight], mut best: Weight) -> Weight {
+        let Some(Reverse((du, u))) = self.heap.pop() else {
+            return best;
+        };
+        for (v, w) in g.neighbors(u) {
+            let nd = du.saturating_add(w);
+            best = best.min(nd.saturating_add(other[v as usize]));
+            if nd < self.dist[v as usize] {
+                self.dist[v as usize] = nd;
+                self.heap.push(Reverse((nd, v)));
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra_binary_heap;
-    use cachegraph_graph::generators;
+    use cachegraph_graph::{generators, AdjacencyArray, EdgeListBuilder};
+
+    /// A directed path `0 -> 1 -> ... -> edges` of unit weights, and its
+    /// transpose.
+    fn directed_path(edges: usize) -> (AdjacencyArray, AdjacencyArray) {
+        let mut b = EdgeListBuilder::new(edges + 1);
+        for v in 0..edges as VertexId {
+            b.add(v, v + 1, 1);
+        }
+        (b.build_array(), b.reversed().build_array())
+    }
 
     #[test]
     fn uncancelled_matches_plain_dijkstra() {
@@ -139,7 +244,8 @@ mod tests {
         let g = generators::random_directed(120, 0.06, 50, 9).build_array();
         let plain = dijkstra_binary_heap(&g, 3);
         for t in [0u32, 17, 64, 119] {
-            let d = distance_to(&g, 3, t, &mut || false).expect("not cancelled");
+            let d =
+                dijkstra_to(&g, 3, Some(t), &mut || false).expect("not cancelled").dist[t as usize];
             assert_eq!(d, plain.dist[t as usize], "target {t}");
         }
     }
@@ -169,6 +275,49 @@ mod tests {
         });
         assert!(r.is_ok());
         assert_eq!(polls, 0);
+    }
+
+    #[test]
+    fn always_true_hook_cancels_a_search_shorter_than_the_interval() {
+        // Two settles would answer this query; the entry poll still
+        // honours a deadline that expired before the search began.
+        let (g, r) = directed_path(1);
+        let mut polls = 0usize;
+        let result = distance_to(&g, &r, 0, 1, &mut || {
+            polls += 1;
+            true
+        });
+        assert_eq!(result, Err(Cancelled));
+        assert_eq!(polls, 1);
+        assert_eq!(distance_to(&g, &r, 1, 1, &mut || true), Err(Cancelled), "source == target");
+    }
+
+    #[test]
+    fn first_true_poll_abandons_a_long_search_after_one_poll() {
+        let (g, r) = directed_path(40 * CANCEL_CHECK_INTERVAL);
+        let mut polls = 0usize;
+        let result = distance_to(&g, &r, 0, g.num_vertices() as VertexId - 1, &mut || {
+            polls += 1;
+            true
+        });
+        assert_eq!(result, Err(Cancelled));
+        assert_eq!(polls, 1, "first poll must already abandon the search");
+    }
+
+    #[test]
+    fn never_true_hook_returns_the_exact_distance() {
+        // On a path of 2k edges the two sides alternate and meet in the
+        // middle after k settles each: 2k settles in all, so the hook is
+        // polled on entry and then once per interval over both sides.
+        let edges = 10 * CANCEL_CHECK_INTERVAL;
+        let (g, r) = directed_path(edges);
+        let mut polls = 0usize;
+        let d = distance_to(&g, &r, 0, edges as VertexId, &mut || {
+            polls += 1;
+            false
+        });
+        assert_eq!(d, Ok(edges as Weight));
+        assert_eq!(polls, 1 + edges / CANCEL_CHECK_INTERVAL);
     }
 
     #[test]
