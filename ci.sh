@@ -9,6 +9,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> fw + layout tests, release build"
+# The workspace tests above are a debug build, but the AVX2/fused FW
+# kernel and the run-copy layout conversions ship optimised: run their
+# tests (kernel differential, variant matrix, round trips) as shipped.
+cargo test -q --release -p cachegraph-fw -p cachegraph-layout
+
 echo "==> perfbench tests (the benchmark's own package)"
 # perfbench is a package of its own, outside the workspace, that calls
 # sssp::dijkstra_to and the serve API: building it here surfaces an API

@@ -21,8 +21,8 @@ use cachegraph_fw::instrumented::{
     sim_tiled_parallel_profiled,
 };
 use cachegraph_fw::{
-    fw_iterative_observed, fw_recursive_observed, fw_tiled_observed, transitive_closure_of,
-    FwMatrix, INF,
+    fw_iterative_observed, fw_recursive_observed, fw_tiled_observed, fwi_instance,
+    transitive_closure_of, FwMatrix, INF,
 };
 use cachegraph_graph::io::{read_dimacs, write_dimacs, DimacsError};
 use cachegraph_graph::{generators, EdgeListBuilder, Graph};
@@ -489,7 +489,9 @@ fn repro_options(full: bool) -> ProfilerOptions {
 
 /// Floyd-Warshall unit: simulated hierarchies give the miss counts (with
 /// three-Cs classification on the tiled/BDL variant); observed real runs
-/// of the same variants give span durations and kernel counters.
+/// of the same variants give span durations and kernel counters. The
+/// section's `data.fw_kernel` names the slice-kernel instance the real
+/// runs used (`"avx2"` or `"baseline"`), which sets their speed.
 fn repro_unit_fw(full: bool) -> Result<UnitOutput, String> {
     let scale = if full { "full" } else { "quick" };
     let registry = Registry::new();
@@ -498,6 +500,7 @@ fn repro_unit_fw(full: bool) -> Result<UnitOutput, String> {
     let opts = repro_options(full);
     let costs = generators::random_directed(n, 0.3, 100, 7).build_matrix().costs().to_vec();
     rep.line(&format!("repro ({scale}): Floyd-Warshall n={n}, b={bsz}"));
+    rep.line(&format!("  fw kernel instance: {}", fwi_instance()));
     let sim = sim_iterative_profiled(&costs, n, profiles::simplescalar(), opts, &registry);
     rep.describe_profiled("fw.iterative", "simplescalar", &sim.stats, &sim.profile);
     let sim = sim_tiled_bdl_profiled(&costs, n, bsz, profiles::simplescalar(), opts, &registry);
@@ -522,7 +525,20 @@ fn repro_unit_fw(full: bool) -> Result<UnitOutput, String> {
     if !tiled_ok || m.to_row_major() != expect {
         return Err("internal error: FW variants disagree".into());
     }
-    Ok(rep.finish(&registry))
+    let mut out = rep.finish(&registry);
+    out.data = out.data.field("fw_kernel", fwi_instance());
+    Ok(out)
+}
+
+/// The slice-kernel instance a repro report's `fw` section recorded.
+fn fw_kernel_of(report: &Report) -> Option<&str> {
+    report
+        .experiments
+        .iter()
+        .find(|e| e.get("id").and_then(Json::as_str) == Some("fw"))
+        .and_then(|e| e.get("data"))
+        .and_then(|d| d.get("fw_kernel"))
+        .and_then(Json::as_str)
 }
 
 /// Dijkstra unit: both graph representations on a TLB-modelled machine.
@@ -781,6 +797,15 @@ fn cmd_compare(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let b = load(b_path)?;
     let deltas = compare_reports(&a, &b, threshold);
     writeln!(out, "comparing '{}' -> '{}' (threshold {:.1}%)", a.name, b.name, threshold * 100.0)?;
+    let (kernel_a, kernel_b) = (fw_kernel_of(&a), fw_kernel_of(&b));
+    if kernel_a != kernel_b {
+        writeln!(
+            out,
+            "note: FW kernel instance {} -> {}; FW wall times are not comparable",
+            kernel_a.unwrap_or("unrecorded"),
+            kernel_b.unwrap_or("unrecorded")
+        )?;
+    }
     for d in &deltas {
         writeln!(out, "{}", d.render_line())?;
     }
@@ -1361,6 +1386,31 @@ mod tests {
         for want in ["fw.kernel_calls", "sssp.relaxations", "matching.augmenting_paths"] {
             assert!(counters.iter().any(|(k, _)| k == want), "missing counter {want}");
         }
+
+        // The FW section names the kernel instance its real runs used.
+        assert!(report.contains(&format!("fw kernel instance: {}", fwi_instance())), "{report}");
+        assert_eq!(fw_kernel_of(&loaded), Some(fwi_instance()));
+    }
+
+    #[test]
+    fn compare_notes_a_differing_fw_kernel() {
+        let with_kernel = |kernel: &str| {
+            let mut r = Report::new("fab");
+            r.push_experiment(
+                Json::obj()
+                    .field("id", "fw")
+                    .field("outcome", "completed")
+                    .field("data", Json::obj().field("fw_kernel", kernel)),
+            );
+            r
+        };
+        let (a_path, b_path) = (tmp("kernel_a.json"), tmp("kernel_b.json"));
+        with_kernel("avx2").save(Path::new(&a_path)).expect("save a");
+        with_kernel("baseline").save(Path::new(&b_path)).expect("save b");
+        let report = run_str("compare", &[&a_path, &b_path]).expect("compare");
+        assert!(report.contains("note: FW kernel instance avx2 -> baseline"), "{report}");
+        let same = run_str("compare", &[&a_path, &a_path]).expect("compare");
+        assert!(!same.contains("note: FW kernel"), "{same}");
     }
 
     #[test]

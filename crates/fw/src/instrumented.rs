@@ -3,9 +3,12 @@
 //! Each function builds the distance matrix in the appropriate layout,
 //! places it in a simulated address space, and replays the *identical*
 //! algorithm drivers used for real timing through a traced accessor, so
-//! the miss counts describe exactly the measured code. The computed
-//! distances are returned alongside the statistics — every simulation also
-//! validates correctness.
+//! the miss counts describe the measured tile order exactly. Inside a
+//! leaf tile the traced accessor runs the trait-default kernel in the
+//! paper's cell order; the timed slice kernel touches the same cells
+//! and gives the same bits in an order of its own (it fuses `k` for
+//! disjoint tiles). The computed distances are returned alongside the
+//! statistics — every simulation also validates correctness.
 
 use cachegraph_graph::{Weight, INF};
 use cachegraph_layout::{BlockLayout, Layout, RowMajor, ZMorton};

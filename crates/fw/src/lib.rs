@@ -66,7 +66,7 @@ pub use closure_parallel::{
 pub use copy_tiled::{fw_tiled_copy, fw_tiled_copy_with};
 pub use cachegraph_graph::{Weight, INF};
 pub use iterative::{fw_iterative, fw_iterative_slice};
-pub use kernel::{fwi, fwi_access, CellAccess, SliceAccess, StridedView, View};
+pub use kernel::{fwi, fwi_access, fwi_instance, CellAccess, SliceAccess, StridedView, View};
 pub use matrix::FwMatrix;
 pub use paths::{extract_path, fw_iterative_with_paths, PathMatrix, NO_PRED};
 pub use record::RecordingAccess;

@@ -74,7 +74,8 @@ impl SharedStorage {
     }
 }
 
-/// FWI over raw storage — same operation order as [`crate::fwi`].
+/// FWI over raw storage — same operation order as the trait default
+/// [`crate::CellAccess::fwi_block`].
 ///
 /// # Safety
 /// The A view must not be concurrently accessed by any other thread, the

@@ -1,13 +1,14 @@
 //! The full variant × shape matrix: every Floyd-Warshall implementation
 //! in the crate, run over handcrafted edge shapes (n < b, b = 1, n not a
-//! multiple of b, n = 1, fully disconnected, zero-weight cycles) and a
-//! seeded random sweep, all diffed cell-for-cell against the iterative
-//! row-major baseline. Every assertion carries the seed and shape so a
-//! failure replays deterministically.
+//! multiple of b, n = 1, fully disconnected, zero-weight cycles), the
+//! production base case on ragged n, and a seeded random sweep, all
+//! diffed cell-for-cell against the iterative row-major baseline, which
+//! is itself diffed against a triple loop written here. Every assertion
+//! carries the seed and shape so a failure replays deterministically.
 
 use cachegraph_fw::{
     fw_iterative, fw_iterative_slice, fw_recursive, fw_tiled, fw_tiled_copy,
-    parallel::fw_tiled_parallel, FwMatrix, INF,
+    parallel::fw_tiled_parallel, solve_apsp, FwMatrix, INF,
 };
 use cachegraph_layout::{BlockLayout, RowMajor, ZMorton};
 use cachegraph_rng::StdRng;
@@ -18,11 +19,29 @@ fn baseline(costs: &[u32], n: usize) -> Vec<u32> {
     d
 }
 
+/// The textbook Floyd-Warshall triple loop over a row-major matrix,
+/// independent of the crate's kernels.
+fn oracle(costs: &[u32], n: usize) -> Vec<u32> {
+    let mut d = costs.to_vec();
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let via = d[i * n + k].saturating_add(d[k * n + j]);
+                if via < d[i * n + j] {
+                    d[i * n + j] = via;
+                }
+            }
+        }
+    }
+    d
+}
+
 /// Run every variant that accepts this `(n, b)` shape and diff against
 /// the baseline. `tag` identifies the case (shape name or seed) in
 /// failure output.
 fn check_all_variants(costs: &[u32], n: usize, b: usize, tag: &str) {
     let expect = baseline(costs, n);
+    assert!(expect == oracle(costs, n), "[{tag}] fw_iterative_slice differs from the oracle n={n}");
 
     // Iterative, layout-generic: row-major and Block Data Layout.
     let mut m = FwMatrix::from_costs(RowMajor::new(n), costs);
@@ -170,5 +189,29 @@ fn seeded_random_sweep() {
         let costs = random_costs(&mut rng, n, density, 1);
         let tag = format!("sweep seed=0xd1ce case={case}");
         check_all_variants(&costs, n, b, &tag);
+    }
+}
+
+#[test]
+fn production_base_on_ragged_n() {
+    // solve_apsp's base case (32 for the default L1) on n that leave
+    // ragged, padded tiles: with two or more tiles per side most leaf
+    // calls get three distinct tiles, which the slice kernel runs fused.
+    let mut rng = StdRng::seed_from_u64(0x5032);
+    for (n, density, min_w) in [(33, 0.5, 0), (100, 0.05, 1), (129, 1.0, 1)] {
+        let costs = random_costs(&mut rng, n, density, min_w);
+        let tag = format!("seed=0x5032 n={n} density={density}");
+        let expect = oracle(&costs, n);
+        assert!(baseline(&costs, n) == expect, "[{tag}] fw_iterative_slice");
+        let mut m = FwMatrix::from_costs(ZMorton::new(n, 32), &costs);
+        fw_recursive(&mut m, 32);
+        assert!(m.to_row_major() == expect, "[{tag}] fw_recursive/ZMorton base=32");
+        assert!(solve_apsp(&costs, n) == expect, "[{tag}] solve_apsp");
+        let mut m = FwMatrix::from_costs(BlockLayout::new(n, 32), &costs);
+        fw_tiled(&mut m, 32);
+        assert!(m.to_row_major() == expect, "[{tag}] fw_tiled/BlockLayout b=32");
+        let mut m = FwMatrix::from_costs(BlockLayout::new(n, 32), &costs);
+        fw_tiled_parallel(&mut m, 32, 2);
+        assert!(m.to_row_major() == expect, "[{tag}] fw_tiled_parallel b=32 threads=2");
     }
 }

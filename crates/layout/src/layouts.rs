@@ -22,6 +22,12 @@ pub trait Layout: Clone + Send + Sync {
 
     /// Flat index of logical element `(i, j)`; `i, j < padded_n()`.
     fn index(&self, i: usize, j: usize) -> usize;
+
+    /// Length of the runs a row is stored in: for every `i` and every
+    /// `j` that is a multiple of `run_len()`, the cells `(i, j)` up to
+    /// `(i, j + run_len() - 1)` (clipped at `padded_n()`) sit at
+    /// consecutive indices from `index(i, j)`. At least 1.
+    fn run_len(&self) -> usize;
 }
 
 /// The usual row-major layout, no padding. This is the baseline layout in
@@ -50,6 +56,10 @@ impl Layout for RowMajor {
     #[inline(always)]
     fn index(&self, i: usize, j: usize) -> usize {
         i * self.n + j
+    }
+
+    fn run_len(&self) -> usize {
+        self.n.max(1)
     }
 }
 
@@ -104,6 +114,10 @@ impl Layout for BlockLayout {
         let (bi, ii) = (i / self.b, i % self.b);
         let (bj, jj) = (j / self.b, j % self.b);
         self.block_start(bi, bj) + ii * self.b + jj
+    }
+
+    fn run_len(&self) -> usize {
+        self.b
     }
 }
 
@@ -172,6 +186,10 @@ impl Layout for ZMorton {
         let (ti, ii) = (i / self.base, i % self.base);
         let (tj, jj) = (j / self.base, j % self.base);
         morton_of(ti, tj) * self.base * self.base + ii * self.base + jj
+    }
+
+    fn run_len(&self) -> usize {
+        self.base
     }
 }
 

@@ -22,14 +22,17 @@ impl<T: Copy, L: Layout> Matrix<T, L> {
     }
 
     /// Build from a row-major slice of the logical `n x n` data; padding is
-    /// set to `pad_fill`.
+    /// set to `pad_fill`. Copies each row one storage run
+    /// ([`Layout::run_len`]) at a time.
     pub fn from_row_major(layout: L, row_major: &[T], pad_fill: T) -> Self {
         let n = layout.n();
         assert_eq!(row_major.len(), n * n, "row-major data must be n*n");
         let mut m = Self::filled(layout, pad_fill);
-        for i in 0..n {
-            for j in 0..n {
-                m.set(i, j, row_major[i * n + j]);
+        let run = m.layout.run_len();
+        for (i, row) in row_major.chunks_exact(n.max(1)).enumerate() {
+            for (r, src) in row.chunks(run).enumerate() {
+                let start = m.layout.index(i, r * run);
+                m.data[start..start + src.len()].copy_from_slice(src);
             }
         }
         m
@@ -78,13 +81,16 @@ impl<T: Copy, L: Layout> Matrix<T, L> {
         self.data[idx] = v;
     }
 
-    /// Copy the logical contents out in row-major order.
+    /// Copy the logical contents out in row-major order, one storage run
+    /// ([`Layout::run_len`]) at a time.
     pub fn to_row_major(&self) -> Vec<T> {
         let n = self.layout.n();
+        let run = self.layout.run_len();
         let mut out = Vec::with_capacity(n * n);
         for i in 0..n {
-            for j in 0..n {
-                out.push(self.get(i, j));
+            for j in (0..n).step_by(run) {
+                let start = self.layout.index(i, j);
+                out.extend_from_slice(&self.data[start..start + run.min(n - j)]);
             }
         }
         out

@@ -92,3 +92,33 @@ fn layouts_agree_on_logical_contents() {
         }
     }
 }
+
+/// The run-copy conversions must build exactly the storage that writing
+/// each cell through `index` builds, padding included, and read back the
+/// logical contents, on every layout (ragged padding and unit tiles too).
+fn assert_run_copy_matches_cells<L: Layout>(layout: L, data: &[u32], tag: &str) {
+    let n = layout.n();
+    let mut cells = Matrix::filled(layout.clone(), u32::MAX);
+    for i in 0..n {
+        for j in 0..n {
+            cells.set(i, j, data[i * n + j]);
+        }
+    }
+    let runs = Matrix::from_row_major(layout, data, u32::MAX);
+    assert_eq!(runs.as_slice(), cells.as_slice(), "{tag}: storage differs");
+    assert_eq!(runs.to_row_major(), data, "{tag}: round trip differs");
+}
+
+#[test]
+fn run_copy_conversions_match_cell_writes() {
+    let mut rng = StdRng::seed_from_u64(0x4c0b);
+    for case in 0..96 {
+        let n = rng.gen_range(1usize..40);
+        let b = if case % 8 == 0 { 1 } else { rng.gen_range(1usize..12) };
+        let data: Vec<u32> = (0..n * n).map(|_| rng.next_u64() as u32).collect();
+        let tag = |l: &str| format!("seed=0x4c0b case={case} {l} n={n} b={b}");
+        assert_run_copy_matches_cells(RowMajor::new(n), &data, &tag("RowMajor"));
+        assert_run_copy_matches_cells(BlockLayout::new(n, b), &data, &tag("BlockLayout"));
+        assert_run_copy_matches_cells(ZMorton::new(n, b), &data, &tag("ZMorton"));
+    }
+}

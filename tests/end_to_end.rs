@@ -66,6 +66,40 @@ fn simulated_runs_are_faithful() {
     assert_eq!(sim.keys, sp.dist);
 }
 
+/// The simulated FW runs replay the paper's cell-by-cell order through
+/// the trait-default kernel, whatever the timed slice kernel does. Their
+/// counts are pinned to the values of the version before the slice
+/// kernel was vectorised, so a drift in that order fails here, not only
+/// in a traced benchmark run. Per level: (accesses, misses, writebacks).
+#[test]
+fn simulated_fw_counts_are_pinned() {
+    let n = 96;
+    let costs = generators::random_directed(n, 0.3, 100, 64).build_matrix().costs().to_vec();
+    let mut expect = costs.clone();
+    fw_iterative_slice(&mut expect, n);
+    let runs = [
+        (
+            "sim_recursive_morton",
+            sim_recursive_morton(&costs, n, 8, profiles::simplescalar()),
+            [(1_959_628, 4_730, 2_080), (6_810, 1_536, 0)],
+            1_536,
+        ),
+        (
+            "sim_tiled_bdl",
+            sim_tiled_bdl(&costs, n, 8, profiles::simplescalar()),
+            [(1_929_303, 13_863, 10_338), (24_201, 1_152, 0)],
+            1_152,
+        ),
+    ];
+    for (name, run, levels, memory_lines) in runs {
+        assert_eq!(run.dist, expect, "{name}: distances");
+        let got: Vec<(u64, u64, u64)> =
+            run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
+        assert_eq!(got, levels, "{name}: per-level (accesses, misses, writebacks)");
+        assert_eq!(run.stats.memory_lines_fetched, memory_lines, "{name}: memory lines");
+    }
+}
+
 /// Dijkstra agrees with Bellman-Ford over every representation and queue.
 #[test]
 fn sssp_consensus() {
