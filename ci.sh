@@ -43,7 +43,7 @@ cargo run -q --release -p cachegraph-check
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> obs overhead gate (enabled-path budgets, release, 3-trial median)"
+echo "==> obs overhead gate (enabled-path budgets, release, median block ratio)"
 # Profiled simulation vs the classifying no-profiler baseline on the FW
 # tiled unit: exact-event mode must stay within 1.15x, sampled 1/64
 # mode within 1.05x. The traced serve path (request tracing on vs off,

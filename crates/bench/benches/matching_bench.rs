@@ -14,18 +14,12 @@ fn bench_matching_density() {
     for &d in &[0.1f64, 0.3] {
         let b = matching_graph(n, d, 11);
         let arr = AdjacencyArray::from_edges(n, b.edges());
-        let edges = b.edges().to_vec();
         let label = format!("d{}", (d * 100.0) as u32);
         bench_report("matching_density", &format!("baseline/{label}"), SAMPLES, || {
             black_box(find_matching(&arr, n / 2, Matching::empty(n)));
         });
         bench_report("matching_density", &format!("partitioned/{label}"), SAMPLES, || {
-            black_box(find_matching_partitioned(
-                &arr,
-                n / 2,
-                &edges,
-                PartitionScheme::Contiguous(8),
-            ));
+            black_box(find_matching_partitioned(&arr, n / 2, PartitionScheme::Contiguous(8)));
         });
     }
 }
@@ -35,12 +29,11 @@ fn bench_matching_best_case() {
     let n = 2048;
     let b = generators::matching_best_case(n, 8, 0.05, 12);
     let arr = AdjacencyArray::from_edges(n, b.edges());
-    let edges = b.edges().to_vec();
     bench_report("matching_best_case", "baseline", SAMPLES, || {
         black_box(find_matching(&arr, n / 2, Matching::empty(n)));
     });
     bench_report("matching_best_case", "partitioned", SAMPLES, || {
-        black_box(find_matching_partitioned(&arr, n / 2, &edges, PartitionScheme::Contiguous(8)));
+        black_box(find_matching_partitioned(&arr, n / 2, PartitionScheme::Contiguous(8)));
     });
 }
 
@@ -49,12 +42,11 @@ fn bench_matching_two_way() {
     let n = 2048;
     let b = matching_graph(n, 0.1, 13);
     let arr = AdjacencyArray::from_edges(n, b.edges());
-    let edges = b.edges().to_vec();
     bench_report("matching_two_way", "baseline", SAMPLES, || {
         black_box(find_matching(&arr, n / 2, Matching::empty(n)));
     });
     bench_report("matching_two_way", "two_way_partitioned", SAMPLES, || {
-        black_box(find_matching_partitioned(&arr, n / 2, &edges, PartitionScheme::TwoWay));
+        black_box(find_matching_partitioned(&arr, n / 2, PartitionScheme::TwoWay));
     });
 }
 

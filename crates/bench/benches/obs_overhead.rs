@@ -21,15 +21,17 @@
 //! queries against an in-process daemon with tracing enabled versus
 //! disabled (budget ≤ 1.10x — tracing is a handful of `Instant::now`
 //! reads and one small record per request, against a request path that
-//! includes two socket round-trips). `--gate` runs all comparisons as
-//! 3-trial medians and exits nonzero on a budget breach — CI runs it in
-//! release (see ci.sh). Run with:
+//! includes two socket round-trips). `--gate` runs every comparison in
+//! blocks that interleave its sides, prints each block's ratio with CPU
+//! time beside wall-clock, gates on the median block ratio, and exits
+//! nonzero on a budget breach — CI runs it in release (see ci.sh). Run
+//! with:
 //!
 //! ```text
 //! cargo bench -p cachegraph-bench --bench obs_overhead [-- --gate]
 //! ```
 
-use cachegraph_bench::{bench_median, bench_report, black_box};
+use cachegraph_bench::{bench_report, black_box, speedup};
 use cachegraph_fw::instrumented::{
     sim_tiled_bdl, sim_tiled_bdl_classified, sim_tiled_bdl_profiled,
 };
@@ -40,9 +42,10 @@ use cachegraph_obs::{Registry, TraceConfig};
 use cachegraph_rng::StdRng;
 use cachegraph_serve::{request_once, start, EngineConfig, FaultPlan, Request, ServerConfig};
 use cachegraph_sim::{profiles, ProfilerOptions};
+use std::time::{Duration, Instant};
 
 /// Overhead budgets asserted by `--gate`: enabled-path profiled runs
-/// versus the classifying no-profiler baseline, median-of-3.
+/// versus the classifying no-profiler baseline, median block ratio.
 const EXACT_BUDGET: f64 = 1.15;
 const SAMPLED_BUDGET: f64 = 1.05;
 /// Traced serve path versus the same round with tracing disabled.
@@ -62,9 +65,9 @@ const PAR_THREADS: usize = 4;
 /// One parallel FW solve, timed. Both entry points run the identical
 /// monomorphized kernel over the identical task plan; the only
 /// difference is who walks the task list.
-fn parallel_fw_round(costs: &[u32], handrolled: bool) -> std::time::Duration {
+fn parallel_fw_round(costs: &[u32], handrolled: bool) -> Duration {
     let mut m = FwMatrix::from_costs(BlockLayout::new(PAR_N, PAR_B), costs);
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     if handrolled {
         fw_tiled_parallel_handrolled(&mut m, PAR_B, PAR_THREADS);
     } else {
@@ -78,7 +81,7 @@ fn parallel_fw_round(costs: &[u32], handrolled: bool) -> std::time::Duration {
 /// Best-of-3 parallel solve: scheduler noise is one-sided (a preempted
 /// solve can only be slower, never faster), so the min compares the two
 /// dispatchers' clean paths instead of whichever got descheduled.
-fn parallel_fw_best(costs: &[u32], handrolled: bool) -> std::time::Duration {
+fn parallel_fw_best(costs: &[u32], handrolled: bool) -> Duration {
     (0..3).map(|_| parallel_fw_round(costs, handrolled)).min().expect("nonempty range")
 }
 
@@ -101,6 +104,69 @@ fn random_costs(n: usize, density: f64, seed: u64) -> Vec<u32> {
     costs
 }
 
+/// One simulated tiled-FW run: the classifying baseline without a
+/// profiler (`None`) or a profiled run under `options`. Returns the
+/// wall-clock and this thread's CPU time.
+fn sim_round(
+    costs: &[u32],
+    options: Option<ProfilerOptions>,
+    registry: &Registry,
+) -> (Duration, Duration) {
+    let (wall, cpu) = (Instant::now(), thread_cpu());
+    let misses = match options {
+        None => sim_tiled_bdl_classified(costs, SIM_N, SIM_B, profiles::simplescalar())
+            .stats
+            .levels[0]
+            .misses,
+        Some(options) => {
+            sim_tiled_bdl_profiled(costs, SIM_N, SIM_B, profiles::simplescalar(), options, registry)
+                .profile
+                .sum_self()
+                .levels[0]
+                .misses
+        }
+    };
+    black_box(misses);
+    (wall.elapsed(), thread_cpu().saturating_sub(cpu))
+}
+
+/// CPU time of the calling thread: the first field of
+/// `/proc/thread-self/schedstat`, in nanoseconds (zero where the file is
+/// missing).
+fn thread_cpu() -> Duration {
+    std::fs::read_to_string("/proc/thread-self/schedstat")
+        .ok()
+        .and_then(|s| s.split_whitespace().next()?.parse().ok())
+        .map_or(Duration::ZERO, Duration::from_nanos)
+}
+
+/// User plus system CPU time of the whole process, exited threads
+/// included: fields 14 and 15 of `/proc/self/stat`, in clock ticks of
+/// 10 ms (zero where the file is missing).
+fn process_cpu() -> Duration {
+    let ticks = std::fs::read_to_string("/proc/self/stat").ok().and_then(|s| {
+        // After the command name, index 0 is field 3 (the state), so
+        // utime (field 14) and stime (field 15) sit at 11 and 12.
+        let fields: Vec<&str> = s.rsplit_once(')')?.1.split_whitespace().collect();
+        let tick = |i: usize| fields.get(i)?.parse::<u64>().ok();
+        Some(tick(11)? + tick(12)?)
+    });
+    Duration::from_millis(10 * ticks.unwrap_or(0))
+}
+
+/// `f`'s wall-clock and process CPU time.
+fn timed(f: impl FnOnce() -> Duration) -> (Duration, Duration) {
+    let cpu = process_cpu();
+    let wall = f();
+    (wall, process_cpu().saturating_sub(cpu))
+}
+
+/// The middle of `xs` (the upper middle for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 fn exact_options() -> ProfilerOptions {
     ProfilerOptions { sample_period_log2: 0, timeline_interval: 4096 }
 }
@@ -118,7 +184,7 @@ fn sampled_options() -> ProfilerOptions {
 /// once-per-process costs, not the per-request hot path the budget
 /// prices, and their millisecond-scale variance would otherwise
 /// swamp a sub-microsecond per-request effect.
-fn serve_round(traced: bool, requests: usize) -> std::time::Duration {
+fn serve_round(traced: bool, requests: usize) -> Duration {
     let cfg = ServerConfig {
         engine: EngineConfig { n: 48, density: 0.1, seed: 5, ..EngineConfig::default() },
         workers: 2,
@@ -126,7 +192,7 @@ fn serve_round(traced: bool, requests: usize) -> std::time::Duration {
         ..ServerConfig::default()
     };
     let handle = start(cfg, FaultPlan::none(), Registry::new()).expect("serve bind");
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     for i in 0..requests {
         let dst = (i % 8) as u32;
         let resp = request_once(handle.port(), &Request::path(0, dst), 2_000).expect("responds");
@@ -142,39 +208,47 @@ fn serve_round(traced: bool, requests: usize) -> std::time::Duration {
     loop_wall
 }
 
-/// The CI gate: 3-trial medians of the enabled-path suite; exits
-/// nonzero when a profiled mode breaches its budget.
+/// The CI gate: every comparison runs in blocks that interleave its
+/// sides, so host drift between blocks cancels in each block's ratio;
+/// the gate takes the median block ratio and exits nonzero when one
+/// breaches its budget. On a shared 2-vCPU host single block ratios
+/// spread from 0.85x to 1.2x (the CPU time moves with the wall-clock,
+/// so it is the core's speed that drifts, not steal); the block counts
+/// keep the median within a few percent.
 fn run_gate() {
     let costs = random_costs(SIM_N, 0.3, 43);
-    let trials = 3;
     let disabled = Registry::disabled();
 
-    let baseline = bench_median(trials, || {
-        let r = sim_tiled_bdl_classified(&costs, SIM_N, SIM_B, profiles::simplescalar());
-        black_box(r.stats.levels[0].misses);
-    });
-    let exact = bench_median(trials, || {
-        let r = sim_tiled_bdl_profiled(
-            &costs,
-            SIM_N,
-            SIM_B,
-            profiles::simplescalar(),
-            exact_options(),
-            &disabled,
+    // Enabled-path simulation: each block runs the baseline, exact and
+    // sampled modes once, in an order rotated from block to block, so
+    // no mode always runs first or last within its block.
+    let sim_blocks = 9;
+    let modes = [None, Some(exact_options()), Some(sampled_options())];
+    for mode in modes {
+        sim_round(&costs, mode, &disabled); // warmup
+    }
+    println!("obs_overhead gate (FW tiled n={SIM_N} b={SIM_B}, {sim_blocks} rotated blocks):");
+    let (mut exact_ratios, mut sampled_ratios) = (Vec::new(), Vec::new());
+    for block in 0..sim_blocks {
+        let mut wall = [Duration::ZERO; 3];
+        let mut cpu = [Duration::ZERO; 3];
+        for step in 0..modes.len() {
+            let m = (block + step) % modes.len();
+            (wall[m], cpu[m]) = sim_round(&costs, modes[m], &disabled);
+        }
+        exact_ratios.push(speedup(wall[1], wall[0]));
+        sampled_ratios.push(speedup(wall[2], wall[0]));
+        println!(
+            "  block {block}: baseline {:?} wall / {:?} cpu; exact {:.3}x wall / {:.3}x cpu; \
+             sampled {:.3}x wall / {:.3}x cpu",
+            wall[0],
+            cpu[0],
+            speedup(wall[1], wall[0]),
+            speedup(cpu[1], cpu[0]),
+            speedup(wall[2], wall[0]),
+            speedup(cpu[2], cpu[0]),
         );
-        black_box(r.profile.sum_self().levels[0].misses);
-    });
-    let sampled = bench_median(trials, || {
-        let r = sim_tiled_bdl_profiled(
-            &costs,
-            SIM_N,
-            SIM_B,
-            profiles::simplescalar(),
-            sampled_options(),
-            &disabled,
-        );
-        black_box(r.profile.sum_self().levels[0].misses);
-    });
+    }
 
     // Traced serve path: the same request round with the tracer on and
     // off. 160 sequential queries over 8 distinct keys — after the
@@ -186,63 +260,68 @@ fn run_gate() {
     // penalizes whichever side runs later). So each sample is an
     // order-balanced ABBA block — plain, traced, traced, plain — whose
     // ratio cancels both the epoch and the drift, and the gate takes
-    // the median block ratio.
+    // the median block ratio. CPU time is the whole process's (client
+    // loop, admission threads and workers), in 10 ms ticks.
     let serve_requests = 160;
-    let serve_blocks = 5;
+    let serve_blocks = 15;
     serve_round(false, 16); // warmup: bind, engine build, page cache
     serve_round(true, 16);
     let mut serve_ratios = Vec::with_capacity(serve_blocks);
-    let mut serve_plain = std::time::Duration::ZERO;
-    let mut serve_traced = std::time::Duration::ZERO;
-    for _ in 0..serve_blocks {
-        let p1 = serve_round(false, serve_requests);
-        let t1 = serve_round(true, serve_requests);
-        let t2 = serve_round(true, serve_requests);
-        let p2 = serve_round(false, serve_requests);
-        serve_plain += p1 + p2;
-        serve_traced += t1 + t2;
-        let plain = (p1 + p2).as_secs_f64().max(1e-12);
-        serve_ratios.push((t1 + t2).as_secs_f64() / plain);
+    for block in 0..serve_blocks {
+        let p1 = timed(|| serve_round(false, serve_requests));
+        let t1 = timed(|| serve_round(true, serve_requests));
+        let t2 = timed(|| serve_round(true, serve_requests));
+        let p2 = timed(|| serve_round(false, serve_requests));
+        let (plain, traced) = ((p1.0 + p2.0, p1.1 + p2.1), (t1.0 + t2.0, t1.1 + t2.1));
+        serve_ratios.push(speedup(traced.0, plain.0));
+        println!(
+            "  serve block {block}: untraced {:?} wall / {:?} cpu; traced {:.3}x wall / {:.3}x cpu",
+            plain.0,
+            plain.1,
+            speedup(traced.0, plain.0),
+            speedup(traced.1, plain.1),
+        );
     }
-    serve_ratios.sort_by(f64::total_cmp);
 
     // TaskGraph dispatch budget: the same ABBA discipline (hand-rolled,
     // taskgraph, taskgraph, hand-rolled per block) because both sides
     // spawn scoped threads and whole-machine noise epochs would
     // otherwise decide the ratio.
     let par_costs = random_costs(PAR_N, 0.3, 47);
-    let par_blocks = 7;
+    let par_blocks = 15;
     parallel_fw_round(&par_costs, true); // warmup both paths
     parallel_fw_round(&par_costs, false);
     let mut par_ratios = Vec::with_capacity(par_blocks);
-    for _ in 0..par_blocks {
-        let h1 = parallel_fw_best(&par_costs, true);
-        let g1 = parallel_fw_best(&par_costs, false);
-        let g2 = parallel_fw_best(&par_costs, false);
-        let h2 = parallel_fw_best(&par_costs, true);
-        let hand = (h1 + h2).as_secs_f64().max(1e-12);
-        par_ratios.push((g1 + g2).as_secs_f64() / hand);
+    for block in 0..par_blocks {
+        let h1 = timed(|| parallel_fw_best(&par_costs, true));
+        let g1 = timed(|| parallel_fw_best(&par_costs, false));
+        let g2 = timed(|| parallel_fw_best(&par_costs, false));
+        let h2 = timed(|| parallel_fw_best(&par_costs, true));
+        let (hand, graph) = ((h1.0 + h2.0, h1.1 + h2.1), (g1.0 + g2.0, g1.1 + g2.1));
+        par_ratios.push(speedup(graph.0, hand.0));
+        println!(
+            "  dispatch block {block}: hand-rolled {:?} wall / {:?} cpu; taskgraph {:.3}x wall / {:.3}x cpu",
+            hand.0,
+            hand.1,
+            speedup(graph.0, hand.0),
+            speedup(graph.1, hand.1),
+        );
     }
-    par_ratios.sort_by(f64::total_cmp);
 
-    let base = baseline.as_secs_f64().max(1e-12);
-    let exact_ratio = exact.as_secs_f64() / base;
-    let sampled_ratio = sampled.as_secs_f64() / base;
-    let traced_ratio = serve_ratios[serve_blocks / 2];
-    let dispatch_ratio = par_ratios[par_blocks / 2];
-    println!("obs_overhead gate (median of {trials}, FW tiled n={SIM_N} b={SIM_B}):");
-    println!("  baseline (classified, no profiler): {baseline:?}");
-    println!("  exact-event profiled:   {exact:?}  ({exact_ratio:.3}x, budget {EXACT_BUDGET}x)");
-    println!("  sampled 1/64 profiled:  {sampled:?}  ({sampled_ratio:.3}x, budget {SAMPLED_BUDGET}x)");
+    let exact_ratio = median(exact_ratios);
+    let sampled_ratio = median(sampled_ratios);
+    let traced_ratio = median(serve_ratios);
+    let dispatch_ratio = median(par_ratios);
+    println!("median block ratios (wall-clock):");
+    println!("  exact-event profiled:   {exact_ratio:.3}x  (budget {EXACT_BUDGET}x)");
+    println!("  sampled 1/64 profiled:  {sampled_ratio:.3}x  (budget {SAMPLED_BUDGET}x)");
     println!(
-        "  serve rounds untraced:  {serve_plain:?} total  ({serve_requests} requests, {serve_blocks} ABBA blocks)"
+        "  traced serve:           {traced_ratio:.3}x  ({serve_requests} requests per round, \
+         budget {TRACED_SERVE_BUDGET}x)"
     );
     println!(
-        "  serve rounds traced:    {serve_traced:?} total  (median block ratio {traced_ratio:.3}x, budget {TRACED_SERVE_BUDGET}x)"
-    );
-    println!(
-        "  taskgraph dispatch:     parallel FW n={PAR_N} b={PAR_B} threads={PAR_THREADS}  \
-         (median block ratio {dispatch_ratio:.3}x vs hand-rolled, budget {TASKGRAPH_DISPATCH_BUDGET}x)"
+        "  taskgraph dispatch:     {dispatch_ratio:.3}x  (parallel FW n={PAR_N} b={PAR_B} \
+         threads={PAR_THREADS} vs hand-rolled, budget {TASKGRAPH_DISPATCH_BUDGET}x)"
     );
     let mut breached = false;
     if exact_ratio > EXACT_BUDGET {

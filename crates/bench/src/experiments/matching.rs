@@ -20,7 +20,7 @@ fn run_pair(
 ) -> (f64, f64, usize) {
     let g = AdjacencyArray::from_edges(n, edges);
     let (tb, base) = time_once(|| find_matching(&g, n / 2, Matching::empty(n)));
-    let (to, (opt, _)) = time_once(|| find_matching_partitioned(&g, n / 2, edges, scheme));
+    let (to, (opt, _)) = time_once(|| find_matching_partitioned(&g, n / 2, scheme));
     assert_eq!(base.size, opt.size, "both must be maximum");
     verify::assert_maximum(&g, n / 2, &opt);
     (tb.as_secs_f64(), to.as_secs_f64(), opt.size)
@@ -181,7 +181,7 @@ pub fn parts(scale: Scale) -> Table {
     ]);
     for p in [2usize, 4, 8, 16, 32] {
         let (to, (m, stats)) =
-            time_once(|| find_matching_partitioned(&g, n / 2, b.edges(), PartitionScheme::Contiguous(p)));
+            time_once(|| find_matching_partitioned(&g, n / 2, PartitionScheme::Contiguous(p)));
         assert_eq!(m.size, base.size);
         t.row(vec![
             p.to_string(),

@@ -81,22 +81,6 @@ pub fn bench_report(group: &str, name: &str, samples: usize, mut f: impl FnMut()
     println!("{group}/{name}: best {best:?}  median {median:?}  ({} samples)", times.len());
 }
 
-/// Median wall-clock of `samples` timed runs of `f` after one warmup —
-/// the measurement behind [`bench_report`], returned instead of printed
-/// so gating benches can compute budget ratios and fail the build.
-pub fn bench_median(samples: usize, mut f: impl FnMut()) -> Duration {
-    f(); // warmup
-    let mut times: Vec<Duration> = (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 /// Defeat the optimizer without `criterion::black_box`.
 pub fn black_box<T>(x: T) -> T {
     std::hint::black_box(x)

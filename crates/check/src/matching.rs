@@ -72,7 +72,7 @@ pub fn check_matching_on(
     let n_left = n / 2;
     let g = AdjacencyArray::from_edges(n, edges);
     let scheme = PartitionScheme::Contiguous(cfg.parts);
-    let (plan, _internal) = MatchingPartPlan::new(n, n_left, edges, scheme);
+    let (plan, _internal) = MatchingPartPlan::new(&g, n_left, scheme);
 
     // Oracle: per-part footprints disjoint; global pass in its own phase.
     report.absorb_oracle(&plan.task_graph());
@@ -86,10 +86,9 @@ pub fn check_matching_on(
         if part.is_trivial() {
             continue;
         }
-        let sub = AdjacencyArray::from_edges(part.members.len(), &part.edges);
         let mut sink = ScriptSink { script: &mut local_phase.scripts[k] };
         let local = find_matching_recorded(
-            &sub,
+            &part.graph,
             part.left_count,
             Matching::empty(part.members.len()),
             &mut sink,
@@ -135,7 +134,7 @@ pub fn check_matching_on(
 
     // Drift guards: bit-identity with the serial partitioned driver and
     // with the real parallel driver at the configured thread count.
-    let (serial, _) = find_matching_partitioned(&g, n_left, edges, scheme);
+    let (serial, _) = find_matching_partitioned(&g, n_left, scheme);
     let (driver, _) = find_matching_partitioned_parallel(&g, n_left, edges, scheme, cfg.threads);
     report.final_matches_reference =
         m.mate == serial.mate && m.size == serial.size && m.mate == driver.mate;

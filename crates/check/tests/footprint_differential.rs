@@ -116,16 +116,15 @@ fn matching_part_recorded_within_declared() {
     for seed in [0x5eed, 0xace0, 0xbeef] {
         let b = generators::random_bipartite(24, 0.2, seed);
         let (plan, _) =
-            MatchingPartPlan::new(24, 12, b.edges(), PartitionScheme::Contiguous(4));
+            MatchingPartPlan::new(&b.build_array(), 12, PartitionScheme::Contiguous(4));
         for (k, part) in plan.parts.iter().enumerate() {
             if part.is_trivial() {
                 continue;
             }
             let declared = plan.part_footprint(k);
-            let sub = AdjacencyArray::from_edges(part.members.len(), &part.edges);
             let mut rec = UnitRecorder::new();
             find_matching_recorded(
-                &sub,
+                &part.graph,
                 part.left_count,
                 Matching::empty(part.members.len()),
                 &mut rec,

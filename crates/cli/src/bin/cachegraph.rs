@@ -26,7 +26,7 @@ fn main() {
         // failures (the contract documented in USAGE).
         eprintln!("error: {e}");
         let code = match e {
-            CliError::Args(_) | CliError::UnknownCommand(_) => 2,
+            CliError::Args(_) | CliError::UnknownCommand(_) | CliError::Usage(_) => 2,
             _ => 1,
         };
         std::process::exit(code);

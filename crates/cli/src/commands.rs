@@ -60,6 +60,9 @@ pub enum CliError {
     UnknownCommand(String),
     /// Bad flag value for which parsing succeeded but the domain is wrong.
     Invalid(String),
+    /// A flag value a command rejects before it starts any work: a
+    /// usage error, like [`CliError::Args`].
+    Usage(String),
     /// File / format problems.
     Dimacs(DimacsError),
     /// I/O problems.
@@ -73,7 +76,7 @@ impl fmt::Display for CliError {
         match self {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::UnknownCommand(c) => write!(f, "unknown command '{c}'"),
-            CliError::Invalid(m) => write!(f, "{m}"),
+            CliError::Invalid(m) | CliError::Usage(m) => write!(f, "{m}"),
             CliError::Dimacs(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "{e}"),
             CliError::RunFailed(m) => write!(f, "{m}"),
@@ -326,8 +329,7 @@ fn cmd_match(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     drop(span);
     let span = root.child("partitioned");
     let t0 = Instant::now();
-    let (opt, stats) =
-        find_matching_partitioned(&g, n / 2, b.edges(), PartitionScheme::Contiguous(parts));
+    let (opt, stats) = find_matching_partitioned(&g, n / 2, PartitionScheme::Contiguous(parts));
     let t_opt = t0.elapsed();
     drop(span);
     drop(root);
@@ -648,7 +650,7 @@ fn repro_unit_parallel_matching(full: bool) -> Result<UnitOutput, String> {
     let g = generators::random_bipartite(mn, 0.1, 5);
     let arr = g.build_array();
     rep.line(&format!("repro ({scale}): parallel matching n={mn} parts=8"));
-    let (serial, sstats) = find_matching_partitioned(&arr, mn / 2, g.edges(), scheme);
+    let (serial, sstats) = find_matching_partitioned(&arr, mn / 2, scheme);
     for threads in [1usize, 2, 4] {
         let t = Instant::now();
         let (par, pstats) =
@@ -1102,9 +1104,9 @@ fn cmd_serve(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
             seed: args.parse_or("seed", 42, "integer")?,
             apsp_threshold: args.parse_or("apsp-threshold", 128, "integer")?,
             tile: args.parse_or("tile", 8, "integer")?,
-            landmarks: args.parse_or("landmarks", 8, "integer")?,
             threads: args.parse_or("threads", 2, "integer")?,
             delta: args.parse_or("delta", 16, "integer")?,
+            ..ServeEngineConfig::default()
         },
         workers: args.parse_or("workers", 4, "integer")?,
         queue_high: args.parse_or("queue-high", 64, "integer")?,
@@ -1135,7 +1137,13 @@ fn cmd_serve(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         None => ServeFaultPlan::none(),
     };
     let port = args.parse_or("port", 0u16, "port number")?;
-    let handle = serve_start_on(cfg, plan, Registry::new(), port).map_err(CliError::Io)?;
+    let handle = serve_start_on(cfg, plan, Registry::new(), port).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::InvalidInput {
+            CliError::Usage(e.to_string())
+        } else {
+            CliError::Io(e)
+        }
+    })?;
     if let Some(path) = args.get("trace-log") {
         let sink = BufWriter::new(File::create(path)?);
         handle.attach_trace_sink(Box::new(sink));

@@ -253,6 +253,18 @@ fn query_subcommand_honours_the_exit_code_contract() {
 }
 
 #[test]
+fn serve_rejects_an_invalid_engine_config_as_a_usage_error() {
+    for (flag, value, names) in
+        [("--gen-n", "201", "n = 201"), ("--density", "1.5", "density = 1.5")]
+    {
+        let out = run(&["serve", flag, value, "--no-trace"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "serve {flag} {value}: {stderr}");
+        assert!(stderr.contains(names), "serve {flag} {value}: {stderr}");
+    }
+}
+
+#[test]
 fn help_documents_the_serve_commands_and_exit_codes() {
     let help = run(&["--help"]);
     assert_eq!(help.status.code(), Some(0));

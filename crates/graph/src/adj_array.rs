@@ -50,6 +50,24 @@ impl AdjacencyArray {
         Self { offsets, arcs }
     }
 
+    /// Build from CSR parts: `offsets[v] .. offsets[v + 1]` indexes
+    /// `arcs` for vertex `v`, so the graph has `offsets.len() - 1`
+    /// vertices. Panics unless `offsets` starts at 0, never decreases
+    /// and ends at `arcs.len()`, and every arc targets a vertex of the
+    /// graph.
+    pub fn from_parts(offsets: Vec<u32>, arcs: Vec<Arc>) -> Self {
+        assert_eq!(offsets.first(), Some(&0), "offsets must start at 0");
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "offsets must not decrease");
+        assert_eq!(
+            offsets.last().map(|&o| o as usize),
+            Some(arcs.len()),
+            "offsets must end at the arc count"
+        );
+        let n = offsets.len() - 1;
+        assert!(arcs.iter().all(|a| (a.to as usize) < n), "arc target out of range");
+        Self { offsets, arcs }
+    }
+
     /// The offset array (exposed for instrumented traversal).
     pub fn offsets(&self) -> &[u32] {
         &self.offsets
@@ -127,6 +145,24 @@ mod tests {
     fn arcs_are_contiguous_per_vertex() {
         let g = sample();
         assert_eq!(g.offsets(), &[0, 2, 2, 3, 4]);
+    }
+
+    #[test]
+    fn from_parts_equals_from_edges() {
+        let g = sample();
+        assert_eq!(AdjacencyArray::from_parts(g.offsets().to_vec(), g.arcs().to_vec()), g);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn from_parts_rejects_out_of_range_arc() {
+        AdjacencyArray::from_parts(vec![0, 1, 1], vec![Arc { to: 2, weight: 1 }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "arc count")]
+    fn from_parts_rejects_short_offsets() {
+        AdjacencyArray::from_parts(vec![0, 0], vec![Arc { to: 0, weight: 1 }]);
     }
 
     #[test]

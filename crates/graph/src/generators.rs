@@ -10,6 +10,7 @@
 
 use cachegraph_rng::StdRng;
 
+use crate::adj_array::{AdjacencyArray, Arc};
 use crate::builder::EdgeListBuilder;
 use crate::traits::{VertexId, Weight};
 
@@ -125,20 +126,50 @@ pub fn connect(b: &mut EdgeListBuilder, max_weight: Weight, seed: u64) {
     }
 }
 
+/// The one sampling loop behind both bipartite generators: call `f(l, r)`
+/// for each left-right pair drawn, in ascending `(l, r)` order (so left
+/// vertices arrive in order).
+fn bipartite_pairs(n: usize, density: f64, seed: u64, mut f: impl FnMut(VertexId, VertexId)) {
+    assert!(n.is_multiple_of(2), "bipartite generator needs an even vertex count");
+    let half = (n / 2) as u64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    sample_indices(half * half, density, &mut rng, |_, idx| {
+        f((idx / half) as VertexId, (half + idx % half) as VertexId);
+    });
+}
+
 /// Random bipartite graph exactly as in §4.4: `n` vertices, the first
 /// `n/2` form the left side; each left-right pair carries an (undirected)
 /// edge with probability `density`. Weights are 1 (matching is unweighted).
 pub fn random_bipartite(n: usize, density: f64, seed: u64) -> EdgeListBuilder {
-    assert!(n.is_multiple_of(2), "bipartite generator needs an even vertex count");
-    let half = (n / 2) as u64;
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut b = EdgeListBuilder::new(n);
-    sample_indices(half * half, density, &mut rng, |_, idx| {
-        let l = (idx / half) as VertexId;
-        let r = (half + idx % half) as VertexId;
+    bipartite_pairs(n, density, seed, |l, r| {
         b.add_undirected(l, r, 1);
     });
     b
+}
+
+/// The left → right arcs of [`random_bipartite`]`(n, density, seed)`,
+/// streamed straight into a CSR over all `n` vertices: the same arcs in
+/// the same order, weight 1, and an empty arc range for every right
+/// vertex. No edge list is built, and the matching solvers read only
+/// these arcs.
+pub fn random_bipartite_left(n: usize, density: f64, seed: u64) -> AdjacencyArray {
+    let pairs = ((n / 2) * (n / 2)) as f64;
+    // The mean arc count plus ample slack, so the arc array is allocated
+    // once (an invalid density reserves nothing; the sampler rejects it).
+    let mean = if (0.0..=1.0).contains(&density) { density * pairs } else { 0.0 };
+    let mut arcs = Vec::with_capacity((mean + 8.0 * mean.sqrt() + 16.0).min(pairs) as usize);
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    bipartite_pairs(n, density, seed, |l, r| {
+        while offsets.len() <= l as usize {
+            offsets.push(arcs.len() as u32);
+        }
+        arcs.push(Arc { to: r, weight: 1 });
+    });
+    offsets.resize(n + 1, arcs.len() as u32);
+    AdjacencyArray::from_parts(offsets, arcs)
 }
 
 /// Best-case matching instance (Fig. 18): a perfect matching aligned with

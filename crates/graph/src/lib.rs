@@ -27,7 +27,7 @@ pub mod generators;
 pub mod io;
 mod traits;
 
-pub use adj_array::AdjacencyArray;
+pub use adj_array::{AdjacencyArray, Arc};
 pub use adj_list::{AdjacencyList, ListNode, NIL};
 pub use adj_matrix::AdjacencyMatrix;
 pub use builder::EdgeListBuilder;

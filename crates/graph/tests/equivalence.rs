@@ -82,3 +82,24 @@ fn undirected_generator_is_symmetric() {
         }
     }
 }
+
+#[test]
+fn streamed_bipartite_equals_the_builders_left_arcs() {
+    for n in [0usize, 2, 4, 48, 200, 2000] {
+        for density in [0.0, 0.02, 0.3, 1.0] {
+            for seed in [1u64, 5, 2101] {
+                let at = format!("n={n} density={density} seed={seed}");
+                let full = generators::random_bipartite(n, density, seed).build_array();
+                let left = generators::random_bipartite_left(n, density, seed);
+                assert_eq!(left.num_vertices(), n, "{at}");
+                assert_eq!(2 * left.num_edges(), full.num_edges(), "{at}");
+                for v in 0..(n / 2) as VertexId {
+                    assert_eq!(left.arcs_of(v), full.arcs_of(v), "{at}: left vertex {v}");
+                }
+                for v in (n / 2) as VertexId..n as VertexId {
+                    assert_eq!(left.degree(v), 0, "{at}: right vertex {v} has arcs");
+                }
+            }
+        }
+    }
+}

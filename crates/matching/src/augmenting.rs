@@ -39,7 +39,9 @@ impl Matching {
     }
 
     /// Check structural consistency (symmetry, size) against a graph;
-    /// panics on violation. Used by tests and debug assertions.
+    /// panics on violation. A matched pair is an edge when either
+    /// endpoint lists the other, so a left-only CSR checks as well as
+    /// one with both arcs. Used by tests and debug assertions.
     pub fn assert_valid<G: Graph>(&self, g: &G) {
         let mut count = 0;
         for v in 0..self.mate.len() {
@@ -49,7 +51,8 @@ impl Matching {
             }
             assert_eq!(self.mate[m as usize], v as u32, "mate not symmetric at {v}");
             assert!(
-                g.neighbors(v as u32).any(|(u, _)| u == m),
+                g.neighbors(v as u32).any(|(u, _)| u == m)
+                    || g.neighbors(m).any(|(u, _)| u == v as u32),
                 "matched pair ({v}, {m}) is not an edge"
             );
             count += 1;

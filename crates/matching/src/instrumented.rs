@@ -7,7 +7,7 @@
 //! working-set contraction the paper relies on is exactly what the
 //! simulator sees.
 
-use cachegraph_graph::{Edge, VertexId};
+use cachegraph_graph::{AdjacencyArray, Edge, VertexId};
 use cachegraph_obs::{Counter, Registry};
 use cachegraph_sim::{
     AddressSpace, CacheProfile, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProfilerOptions,
@@ -268,7 +268,10 @@ fn sim_find_matching_partitioned_inner(
     let root = registry.span("matching.partitioned");
     let searches = registry.counter("matching.searches");
     let aug_paths = registry.counter("matching.augmenting_paths");
-    let (part, p) = super::partitioned::assign_parts(n, n_left, edges, scheme);
+    // The native drivers' vertex-to-part assignment, as untraced set-up;
+    // the traced CSRs below keep both arcs.
+    let (part, p) =
+        super::partitioned::assign_parts(&AdjacencyArray::from_edges(n, edges), n_left, scheme);
     let mut hier = MemoryHierarchy::new(config);
     let scope =
         profiler.map(|opts| hier.attach_profiler_with("matching.partitioned", opts, registry));
@@ -343,7 +346,7 @@ fn sim_find_matching_partitioned_inner(
 mod tests {
     use super::*;
     use crate::hopcroft_karp;
-    use cachegraph_graph::{generators, AdjacencyArray};
+    use cachegraph_graph::generators;
     use cachegraph_sim::profiles;
 
     #[test]

@@ -20,18 +20,21 @@
 //! Ford-Fulkerson extension named in the paper's conclusion.
 //!
 //! Convention: a bipartite graph on `n` vertices has its left side
-//! `0..n_left` and right side `n_left..n`, with both arcs of every edge
-//! present (as [`cachegraph_graph::generators::random_bipartite`] builds).
+//! `0..n_left` and right side `n_left..n`. The solvers, the partitioner
+//! and the König check read only left → right arcs, so the graph may
+//! hold both arcs of every edge (as
+//! [`cachegraph_graph::generators::random_bipartite`] builds) or only
+//! the left ones (as
+//! [`cachegraph_graph::generators::random_bipartite_left`] streams);
+//! both give the same matching, `mate` array included.
 //!
 //! ```
 //! use cachegraph_matching::{find_matching_partitioned, verify, PartitionScheme};
 //! use cachegraph_graph::generators;
 //!
 //! let n = 64;
-//! let b = generators::random_bipartite(n, 0.2, 7);
-//! let g = b.build_array();
-//! let (m, stats) =
-//!     find_matching_partitioned(&g, n / 2, b.edges(), PartitionScheme::Contiguous(4));
+//! let g = generators::random_bipartite_left(n, 0.2, 7);
+//! let (m, stats) = find_matching_partitioned(&g, n / 2, PartitionScheme::Contiguous(4));
 //! verify::assert_maximum(&g, n / 2, &m); // König certificate
 //! assert!(stats.local_matched <= m.size);
 //! ```

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use cachegraph_graph::{AdjacencyArray, Edge, Graph};
+use cachegraph_graph::{AdjacencyArray, Edge, Graph, VertexId};
 use cachegraph_plan::{run_tasks_mut, TaskFootprint, TaskGraph};
 
 use crate::augmenting::Matching;
@@ -40,15 +40,11 @@ pub struct MatchingPartPlan {
 }
 
 impl MatchingPartPlan {
-    /// Build the plan (and internal-edge count) for `scheme`.
-    pub fn new(
-        n: usize,
-        n_left: usize,
-        edges: &[Edge],
-        scheme: PartitionScheme,
-    ) -> (Self, usize) {
-        let (parts, internal) = build_local_parts(n, n_left, edges, scheme);
-        (Self { n, parts }, internal)
+    /// Build the plan (and internal-edge count) for `scheme` from the
+    /// left arcs of `g`.
+    pub fn new(g: &AdjacencyArray, n_left: usize, scheme: PartitionScheme) -> (Self, usize) {
+        let (parts, internal) = build_local_parts(g, n_left, scheme);
+        (Self { n: g.num_vertices(), parts }, internal)
     }
 
     /// Declared footprint of local task `k`: it reads and writes exactly
@@ -83,6 +79,11 @@ impl MatchingPartPlan {
 /// [`find_matching_partitioned`](crate::find_matching_partitioned) with
 /// the local solves on `threads` scoped workers; bit-identical result
 /// and statistics.
+///
+/// `edges` is not read: the parts are carved from `g`'s left arcs. The
+/// parameter exists only so the benchmark package (`perfbench/`), which
+/// passes the edge list `g` was built from, keeps compiling unchanged;
+/// debug builds check that its left arcs equal `g`'s.
 pub fn find_matching_partitioned_parallel(
     g: &AdjacencyArray,
     n_left: usize,
@@ -90,13 +91,20 @@ pub fn find_matching_partitioned_parallel(
     scheme: PartitionScheme,
     threads: usize,
 ) -> (Matching, PartitionedStats) {
-    match find_matching_partitioned_parallel_cancellable(g, n_left, edges, scheme, threads, &|| {
-        false
-    }) {
+    debug_assert!(left_arcs_agree(g, n_left, edges), "edges disagree with g's left arcs");
+    match find_matching_partitioned_parallel_cancellable(g, n_left, scheme, threads, &|| false) {
         Ok(r) => r,
         // tidy: allow(panic-policy) — the never-cancelling hook makes Err unreachable.
         Err(_) => unreachable!("matching cancelled without a cancel hook"),
     }
+}
+
+/// True when the left → right arcs of `edges` are `g`'s, vertex by
+/// vertex and in order.
+fn left_arcs_agree(g: &AdjacencyArray, n_left: usize, edges: &[Edge]) -> bool {
+    let from_edges = AdjacencyArray::from_edges(g.num_vertices(), edges);
+    (0..n_left as VertexId)
+        .all(|u| from_edges.neighbors(u).map(|(v, _)| v).eq(g.neighbors(u).map(|(v, _)| v)))
 }
 
 /// [`find_matching_partitioned_parallel`] with deadline propagation:
@@ -107,14 +115,13 @@ pub fn find_matching_partitioned_parallel(
 pub fn find_matching_partitioned_parallel_cancellable(
     g: &AdjacencyArray,
     n_left: usize,
-    edges: &[Edge],
     scheme: PartitionScheme,
     threads: usize,
     cancel: &(impl Fn() -> bool + Sync),
 ) -> Result<(Matching, PartitionedStats), MatchCancelled> {
     assert!(threads >= 1, "need at least one thread");
     let n = g.num_vertices();
-    let (plan, internal) = MatchingPartPlan::new(n, n_left, edges, scheme);
+    let (plan, internal) = MatchingPartPlan::new(g, n_left, scheme);
     if cancel() {
         return Err(MatchCancelled { partial: Matching::empty(n) });
     }
@@ -171,7 +178,7 @@ mod tests {
             for scheme in
                 [PartitionScheme::Contiguous(4), PartitionScheme::Contiguous(1), PartitionScheme::TwoWay]
             {
-                let (serial, sstats) = find_matching_partitioned(&g, 24, b.edges(), scheme);
+                let (serial, sstats) = find_matching_partitioned(&g, 24, scheme);
                 for threads in [1, 2, 4, 7] {
                     let (par, pstats) =
                         find_matching_partitioned_parallel(&g, 24, b.edges(), scheme, threads);
@@ -205,7 +212,7 @@ mod tests {
     fn plan_footprints_are_disjoint() {
         let b = generators::random_bipartite(40, 0.2, 5);
         for scheme in [PartitionScheme::Contiguous(4), PartitionScheme::TwoWay] {
-            let (plan, _) = MatchingPartPlan::new(40, 20, b.edges(), scheme);
+            let (plan, _) = MatchingPartPlan::new(&b.build_array(), 20, scheme);
             let tg = plan.task_graph();
             let v = tg.check_disjoint();
             assert!(v.is_empty(), "{scheme:?}: {}", v[0]);
@@ -223,7 +230,6 @@ mod tests {
         let r = find_matching_partitioned_parallel_cancellable(
             &g,
             80,
-            b.edges(),
             PartitionScheme::Contiguous(8),
             threads,
             &|| {

@@ -12,7 +12,7 @@
 //! The algorithm counts the four cross-group edge totals in one pass and
 //! picks the pairing with more internal edges.
 
-use cachegraph_graph::Edge;
+use cachegraph_graph::{AdjacencyArray, Graph, VertexId};
 
 /// Result of two-way partitioning: `side[v]` is 0 or 1.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,24 +26,22 @@ pub struct TwoWayPartition {
 }
 
 /// Partition a bipartite graph's vertices into two groups maximising
-/// internal edges, per the paper's 4-group scheme. `edges` may contain
-/// both arcs of each undirected edge (the count treats `(u, v)` with
-/// `u < n_left` as the canonical direction).
-pub fn two_way_partition(n: usize, n_left: usize, edges: &[Edge]) -> TwoWayPartition {
+/// internal edges, per the paper's 4-group scheme. Each undirected edge
+/// is counted once, from its left arc, so `g` may hold both arcs of
+/// every edge or only the left → right ones.
+pub fn two_way_partition(g: &AdjacencyArray, n_left: usize) -> TwoWayPartition {
+    let n = g.num_vertices();
     assert!(n_left <= n);
     let l_half = n_left / 2;
     let r_half = (n - n_left) / 2;
     // e[i][j] = edges between left group i and right group j.
     let mut e = [[0usize; 2]; 2];
-    for edge in edges {
-        let (l, r) = if (edge.from as usize) < n_left {
-            (edge.from as usize, edge.to as usize)
-        } else {
-            continue; // count each undirected edge once, from its left arc
-        };
+    for l in 0..n_left {
         let li = usize::from(l >= l_half);
-        let rj = usize::from(r - n_left >= r_half);
-        e[li][rj] += 1;
+        for a in g.arcs_of(l as VertexId) {
+            let rj = usize::from(a.to as usize - n_left >= r_half);
+            e[li][rj] += 1;
+        }
     }
     // Pairing A: {L0 + R0, L1 + R1}; pairing B: {L0 + R1, L1 + R0}.
     let internal_a = e[0][0] + e[1][1];
@@ -77,7 +75,7 @@ mod tests {
     fn aligned_graph_keeps_all_edges_internal() {
         // Perfect matching i <-> n/2 + i: L0 pairs with R0, L1 with R1.
         let b = generators::matching_best_case(16, 2, 0.0, 1);
-        let p = two_way_partition(16, 8, b.edges());
+        let p = two_way_partition(&b.build_array(), 8);
         assert_eq!(p.external_edges, 0);
         assert_eq!(p.internal_edges, 8);
     }
@@ -90,7 +88,7 @@ mod tests {
         // Left = {0..4}, right = {4..8}; L0 = {0,1}, R1 = {6,7}.
         b.add_undirected(0, 6, 1).add_undirected(1, 7, 1);
         b.add_undirected(2, 4, 1).add_undirected(3, 5, 1);
-        let p = two_way_partition(8, 4, b.edges());
+        let p = two_way_partition(&b.build_array(), 4);
         assert_eq!(p.external_edges, 0);
         assert_eq!(p.internal_edges, 4);
         // Vertices 0 and 6 end up on the same side.
@@ -102,7 +100,7 @@ mod tests {
     #[test]
     fn side_covers_all_vertices() {
         let b = generators::random_bipartite(40, 0.2, 3);
-        let p = two_way_partition(40, 20, b.edges());
+        let p = two_way_partition(&b.build_array(), 20);
         assert_eq!(p.side.len(), 40);
         let zeros = p.side.iter().filter(|&&s| s == 0).count();
         assert_eq!(zeros, 20, "balanced halves");
@@ -111,7 +109,7 @@ mod tests {
     #[test]
     fn edge_counts_are_conserved() {
         let b = generators::random_bipartite(60, 0.15, 7);
-        let p = two_way_partition(60, 30, b.edges());
+        let p = two_way_partition(&b.build_array(), 30);
         // Each undirected edge appears as two arcs; counted once.
         assert_eq!(p.internal_edges + p.external_edges, b.edges().len() / 2);
     }

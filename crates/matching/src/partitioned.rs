@@ -1,7 +1,7 @@
 //! The cache-friendly matching implementation (Fig. 9):
 //! partition → solve locally → union → finish globally.
 
-use cachegraph_graph::{AdjacencyArray, Edge, Graph, VertexId};
+use cachegraph_graph::{AdjacencyArray, Arc, Graph, VertexId};
 
 use crate::augmenting::{find_matching, Matching};
 use crate::partition::two_way_partition;
@@ -30,13 +30,13 @@ pub struct PartitionedStats {
     pub parts: usize,
 }
 
-/// Assign each vertex to a part under `scheme`.
+/// Assign each vertex of `g` to a part under `scheme`.
 pub(crate) fn assign_parts(
-    n: usize,
+    g: &AdjacencyArray,
     n_left: usize,
-    edges: &[Edge],
     scheme: PartitionScheme,
 ) -> (Vec<u32>, usize) {
+    let n = g.num_vertices();
     match scheme {
         PartitionScheme::Contiguous(p) => {
             assert!(p >= 1, "need at least one part");
@@ -52,7 +52,7 @@ pub(crate) fn assign_parts(
             (part, p)
         }
         PartitionScheme::TwoWay => {
-            let tw = two_way_partition(n, n_left, edges);
+            let tw = two_way_partition(g, n_left);
             (tw.side.iter().map(|&s| s as u32).collect(), 2)
         }
     }
@@ -64,18 +64,19 @@ pub(crate) fn assign_parts(
 /// and the phase statistics.
 ///
 /// `g` is the already-built representation of the whole graph (the same
-/// object the baseline traverses); `edges` is its edge list, from which
-/// the sub-problems are carved. Partitioning and sub-graph construction
-/// happen inside this function — they are part of the optimization's cost,
-/// exactly as in the paper's measurements.
+/// object the baseline traverses); the sub-problems are carved from its
+/// left → right arcs, the only arcs any solver reads, so a left-only
+/// CSR serves as well as one with both arcs of every edge. Partitioning
+/// and sub-graph construction happen inside this function — they are
+/// part of the optimization's cost, exactly as in the paper's
+/// measurements.
 pub fn find_matching_partitioned(
     g: &AdjacencyArray,
     n_left: usize,
-    edges: &[Edge],
     scheme: PartitionScheme,
 ) -> (Matching, PartitionedStats) {
     let n = g.num_vertices();
-    let (parts, internal) = build_local_parts(n, n_left, edges, scheme);
+    let (parts, internal) = build_local_parts(g, n_left, scheme);
 
     // Phase 1: local matchings (working sets sized to the cache).
     let mut union = Matching::empty(n);
@@ -97,15 +98,17 @@ pub fn find_matching_partitioned(
 
 /// One sub-problem of the Fig. 9 decomposition: the vertices of a part
 /// (locals numbered left-first, so `members[local] = global`) and its
-/// internal edges in local ids (both arcs).
+/// internal edges as a left-only CSR in local ids.
 #[derive(Clone, Debug)]
 pub struct LocalPart {
     /// Global vertex id per local id, left vertices first.
     pub members: Vec<VertexId>,
     /// Number of left vertices in this part (locals `0..left_count`).
     pub left_count: usize,
-    /// Internal edges in local ids, both arcs per undirected edge.
-    pub edges: Vec<Edge>,
+    /// The part's internal edges in local ids: each left local's arcs
+    /// in the order the whole graph lists them, weight 1, and an empty
+    /// arc range for every right local.
+    pub graph: AdjacencyArray,
 }
 
 impl LocalPart {
@@ -113,7 +116,7 @@ impl LocalPart {
     /// internal edges; otherwise it is skipped (the serial driver's
     /// `continue`).
     pub fn is_trivial(&self) -> bool {
-        self.members.is_empty() || self.edges.is_empty()
+        self.members.is_empty() || self.graph.num_edges() == 0
     }
 
     /// Solve this sub-problem with the Fig. 8 algorithm; `None` for
@@ -122,67 +125,62 @@ impl LocalPart {
         if self.is_trivial() {
             return None;
         }
-        let sub = AdjacencyArray::from_edges(self.members.len(), &self.edges);
-        Some(find_matching(&sub, self.left_count, Matching::empty(self.members.len())))
+        Some(find_matching(&self.graph, self.left_count, Matching::empty(self.members.len())))
     }
 }
 
-/// Carve the graph into per-part sub-problems under `scheme`: the
-/// shared front half of [`find_matching_partitioned`] and its parallel
+/// Carve `g` into per-part sub-problems under `scheme`: the shared
+/// front half of [`find_matching_partitioned`] and its parallel
 /// counterpart
 /// ([`find_matching_partitioned_parallel`](crate::find_matching_partitioned_parallel)).
-/// Returns the parts and the internal-edge count.
+/// Each part's CSR is built once, in part order, from the left arcs of
+/// its left members. Returns the parts and the internal-edge count.
 pub fn build_local_parts(
-    n: usize,
+    g: &AdjacencyArray,
     n_left: usize,
-    edges: &[Edge],
     scheme: PartitionScheme,
 ) -> (Vec<LocalPart>, usize) {
-    let (part, p) = assign_parts(n, n_left, edges, scheme);
+    let n = g.num_vertices();
+    let (part, p) = assign_parts(g, n_left, scheme);
 
     // Split vertices per part, locals numbered left-first.
     let mut local_id = vec![FREE; n];
     let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); p];
     let mut left_count = vec![0usize; p];
-    for v in 0..n {
-        if v < n_left {
-            let k = part[v] as usize;
-            local_id[v] = left_count[k] as u32;
-            left_count[k] += 1;
-            members[k].push(v as VertexId);
-        }
+    for v in 0..n_left {
+        let k = part[v] as usize;
+        local_id[v] = left_count[k] as u32;
+        left_count[k] += 1;
+        members[k].push(v as VertexId);
     }
-    let mut right_count = vec![0usize; p];
     for v in n_left..n {
         let k = part[v] as usize;
-        local_id[v] = (left_count[k] + right_count[k]) as u32;
-        right_count[k] += 1;
+        local_id[v] = members[k].len() as u32;
         members[k].push(v as VertexId);
     }
 
-    // Internal edges per part (left-arc canonical form).
-    let mut local_edges: Vec<Vec<Edge>> = vec![Vec::new(); p];
+    // Internal arcs per part: a left member's arcs whose target lies in
+    // the same part.
+    let mut parts = Vec::with_capacity(p);
     let mut internal = 0usize;
-    for e in edges {
-        if (e.from as usize) >= n_left {
-            continue;
+    for (k, (members, left_count)) in members.into_iter().zip(left_count).enumerate() {
+        let mut offsets = Vec::with_capacity(members.len() + 1);
+        let mut arcs = Vec::new();
+        offsets.push(0);
+        for &u in &members[..left_count] {
+            arcs.extend(
+                g.arcs_of(u)
+                    .iter()
+                    .filter(|a| part[a.to as usize] as usize == k)
+                    .map(|a| Arc { to: local_id[a.to as usize], weight: 1 }),
+            );
+            offsets.push(arcs.len() as u32);
         }
-        let (k_from, k_to) = (part[e.from as usize] as usize, part[e.to as usize] as usize);
-        if k_from == k_to {
-            internal += 1;
-            let l = local_id[e.from as usize];
-            let r = local_id[e.to as usize];
-            local_edges[k_from].push(Edge::new(l, r, 1));
-            local_edges[k_from].push(Edge::new(r, l, 1));
-        }
+        offsets.resize(members.len() + 1, arcs.len() as u32);
+        internal += arcs.len();
+        let graph = AdjacencyArray::from_parts(offsets, arcs);
+        parts.push(LocalPart { members, left_count, graph });
     }
-
-    let parts = members
-        .into_iter()
-        .zip(left_count)
-        .zip(local_edges)
-        .map(|((members, left_count), edges)| LocalPart { members, left_count, edges })
-        .collect();
     (parts, internal)
 }
 
@@ -202,12 +200,12 @@ pub(crate) fn merge_local(part: &LocalPart, local: &Matching, union: &mut Matchi
 mod tests {
     use super::*;
     use crate::hopcroft_karp;
-    use cachegraph_graph::generators;
+    use cachegraph_graph::{generators, Edge};
 
     fn check_equals_oracle(n: usize, edges: &[Edge], scheme: PartitionScheme) {
         let g = AdjacencyArray::from_edges(n, edges);
         let oracle = hopcroft_karp(&g, n / 2);
-        let (m, _) = find_matching_partitioned(&g, n / 2, edges, scheme);
+        let (m, _) = find_matching_partitioned(&g, n / 2, scheme);
         assert_eq!(m.size, oracle.size);
         m.assert_valid(&g);
     }
@@ -226,7 +224,7 @@ mod tests {
     fn best_case_local_phase_finds_maximum() {
         let b = generators::matching_best_case(32, 4, 0.1, 2);
         let g = AdjacencyArray::from_edges(32, b.edges());
-        let (m, stats) = find_matching_partitioned(&g, 16, b.edges(), PartitionScheme::Contiguous(4));
+        let (m, stats) = find_matching_partitioned(&g, 16, PartitionScheme::Contiguous(4));
         assert_eq!(m.size, 16, "perfect matching expected");
         assert_eq!(stats.local_matched, 16, "local phase should already be maximum");
     }
@@ -235,8 +233,7 @@ mod tests {
     fn worst_case_local_phase_finds_nothing() {
         let b = generators::matching_worst_case(32, 4, 0.5, 3);
         let g = AdjacencyArray::from_edges(32, b.edges());
-        let (m, stats) =
-            find_matching_partitioned(&g, 16, b.edges(), PartitionScheme::Contiguous(4));
+        let (m, stats) = find_matching_partitioned(&g, 16, PartitionScheme::Contiguous(4));
         assert_eq!(stats.local_matched, 0, "no internal edges by construction");
         assert_eq!(stats.internal_edges, 0);
         let oracle = hopcroft_karp(&g, 16);
@@ -249,9 +246,8 @@ mod tests {
         // locally but TwoWay re-pairs the groups and captures everything.
         let b = generators::matching_worst_case(32, 2, 0.4, 4);
         let g = AdjacencyArray::from_edges(32, b.edges());
-        let (_, contiguous) =
-            find_matching_partitioned(&g, 16, b.edges(), PartitionScheme::Contiguous(2));
-        let (_, two_way) = find_matching_partitioned(&g, 16, b.edges(), PartitionScheme::TwoWay);
+        let (_, contiguous) = find_matching_partitioned(&g, 16, PartitionScheme::Contiguous(2));
+        let (_, two_way) = find_matching_partitioned(&g, 16, PartitionScheme::TwoWay);
         assert_eq!(contiguous.internal_edges, 0);
         assert!(
             two_way.internal_edges > 0,
@@ -260,9 +256,26 @@ mod tests {
     }
 
     #[test]
+    fn left_only_csr_gives_the_same_matching() {
+        for seed in [1u64, 5, 2101] {
+            let full = generators::random_bipartite(64, 0.1, seed).build_array();
+            let left = generators::random_bipartite_left(64, 0.1, seed);
+            for scheme in
+                [PartitionScheme::Contiguous(1), PartitionScheme::Contiguous(3), PartitionScheme::TwoWay]
+            {
+                let (a, astats) = find_matching_partitioned(&full, 32, scheme);
+                let (b, bstats) = find_matching_partitioned(&left, 32, scheme);
+                assert_eq!(a, b, "seed {seed} {scheme:?}: matching diverged");
+                assert_eq!(astats, bstats, "seed {seed} {scheme:?}: stats diverged");
+                crate::verify::assert_maximum(&left, 32, &b);
+            }
+        }
+    }
+
+    #[test]
     fn empty_graph() {
         let g = AdjacencyArray::from_edges(8, &[]);
-        let (m, stats) = find_matching_partitioned(&g, 4, &[], PartitionScheme::Contiguous(2));
+        let (m, stats) = find_matching_partitioned(&g, 4, PartitionScheme::Contiguous(2));
         assert_eq!(m.size, 0);
         assert_eq!(stats.local_matched, 0);
     }

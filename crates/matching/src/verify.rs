@@ -54,7 +54,8 @@ pub fn minimum_vertex_cover<G: Graph>(g: &G, n_left: usize, m: &Matching) -> Vec
 
 /// Verify that `m` is a maximum matching of `g` via a König certificate:
 /// the constructed cover must (a) touch every edge and (b) have exactly
-/// `m.size` vertices. Panics with a description on failure.
+/// `m.size` vertices. Only left arcs are read, so `g` may be a left-only
+/// CSR. Panics with a description on failure.
 pub fn assert_maximum<G: Graph>(g: &G, n_left: usize, m: &Matching) {
     m.assert_valid(g);
     let cover = minimum_vertex_cover(g, n_left, m);
@@ -92,6 +93,8 @@ mod tests {
             let g = b.build_array();
             let m = find_matching(&g, 30, Matching::empty(60));
             assert_maximum(&g, 30, &m);
+            // The same certificate holds on the left-only CSR.
+            assert_maximum(&generators::random_bipartite_left(60, 0.1, seed), 30, &m);
         }
     }
 
@@ -113,6 +116,17 @@ mod tests {
         let m = find_matching(&g, 3, Matching::empty(4));
         let cover = minimum_vertex_cover(&g, 3, &m);
         assert_eq!(cover, vec![3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not an edge")]
+    fn left_only_csr_still_rejects_a_non_edge() {
+        let g = generators::random_bipartite_left(4, 0.0, 1);
+        let mut m = Matching::empty(4);
+        m.mate[0] = 2;
+        m.mate[2] = 0;
+        m.size = 1;
+        m.assert_valid(&g);
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn assert_matrix(n: usize, edges: &[Edge], schemes: &[PartitionScheme], seed: u6
     let n_left = n / 2;
     let oracle = hopcroft_karp(&g, n_left);
     for &scheme in schemes {
-        let (serial, sstats) = find_matching_partitioned(&g, n_left, edges, scheme);
+        let (serial, sstats) = find_matching_partitioned(&g, n_left, scheme);
         assert_eq!(
             serial.size, oracle.size,
             "seed {seed:#x} {label} {scheme:?}: serial driver is not maximum"
@@ -115,8 +115,7 @@ fn more_threads_than_parts() {
     for seed in [0x5eed] {
         let b = generators::random_bipartite(16, 0.2, seed);
         let g = AdjacencyArray::from_edges(16, b.edges());
-        let (serial, _) =
-            find_matching_partitioned(&g, 8, b.edges(), PartitionScheme::Contiguous(2));
+        let (serial, _) = find_matching_partitioned(&g, 8, PartitionScheme::Contiguous(2));
         for threads in [8, 16] {
             let (par, _) = find_matching_partitioned_parallel(
                 &g,

@@ -38,7 +38,7 @@ fn partitioned_is_maximum_with_konig_certificate() {
         let n = 2 * half;
         let b = generators::random_bipartite(n, density, seed);
         let g = AdjacencyArray::from_edges(n, b.edges());
-        let (m, _) = find_matching_partitioned(&g, half, b.edges(), PartitionScheme::Contiguous(parts));
+        let (m, _) = find_matching_partitioned(&g, half, PartitionScheme::Contiguous(parts));
         verify::assert_maximum(&g, half, &m);
     }
 }
@@ -53,7 +53,7 @@ fn two_way_scheme_is_maximum() {
         let n = 2 * half;
         let b = generators::random_bipartite(n, density, seed);
         let g = AdjacencyArray::from_edges(n, b.edges());
-        let (m, _) = find_matching_partitioned(&g, half, b.edges(), PartitionScheme::TwoWay);
+        let (m, _) = find_matching_partitioned(&g, half, PartitionScheme::TwoWay);
         verify::assert_maximum(&g, half, &m);
     }
 }
@@ -69,7 +69,7 @@ fn local_phase_never_exceeds_maximum() {
         let b = generators::random_bipartite(n, density, seed);
         let g = AdjacencyArray::from_edges(n, b.edges());
         let oracle = hopcroft_karp(&g, half).size;
-        let (m, stats) = find_matching_partitioned(&g, half, b.edges(), PartitionScheme::Contiguous(2));
+        let (m, stats) = find_matching_partitioned(&g, half, PartitionScheme::Contiguous(2));
         assert!(stats.local_matched <= oracle, "half={half} density={density} seed={seed}");
         assert_eq!(m.size, oracle, "half={half} density={density} seed={seed}");
     }

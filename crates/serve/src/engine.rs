@@ -16,15 +16,16 @@
 //!   target over the reverse graph, and stops where the two meet, so a
 //!   point query touches a small ball around each endpoint instead of
 //!   about half the graph;
-//! * above the threshold too, *landmark sketches*: forward and reverse
-//!   Dijkstra trees from a few evenly spaced landmarks, giving a
-//!   triangle-inequality upper bound per query. Sketches are advisory —
-//!   queries are still answered exactly by the search — but the bound
-//!   ships in the answer so clients can see how tight it was;
 //! * for small instances, an exact reachability matrix via the
 //!   *parallel* tiled boolean closure — `reach` becomes one bit read;
-//! * a companion bipartite graph for the `match` op, solved once (and
-//!   cached) by the parallel partitioned Fig. 9 matcher.
+//! * a companion bipartite graph for the `match` op, streamed from the
+//!   generator's sampler straight into a left-only CSR
+//!   ([`generators::random_bipartite_left`]): the Fig. 8 augmenting
+//!   search only ever follows left → right arcs, so no edge list and no
+//!   right → left half is kept. The parallel partitioned Fig. 9 matcher
+//!   carves its cache-sized parts from that CSR's left arcs, solves
+//!   once under the first `match` request's deadline, and the size is
+//!   memoised.
 //!
 //! The `sssp` op runs the parallel delta-stepping driver at query time:
 //! a full single-source tree is exactly the shape where the TaskGraph
@@ -40,13 +41,14 @@
 use cachegraph_fw::{
     fw_tiled_cancellable, transitive_closure_tiled_parallel, BitMatrix, FwMatrix,
 };
-use cachegraph_graph::{
-    generators, AdjacencyArray, Edge, EdgeListBuilder, VertexId, Weight, INF,
-};
+use cachegraph_graph::{generators, AdjacencyArray, EdgeListBuilder, VertexId, Weight, INF};
 use cachegraph_layout::BlockLayout;
-use cachegraph_matching::{find_matching_partitioned_parallel_cancellable, PartitionScheme};
+use cachegraph_matching::{
+    find_matching_partitioned_parallel_cancellable, Matching, PartitionScheme,
+};
 use cachegraph_obs::Json;
-use cachegraph_sssp::{delta_stepping_parallel_cancellable, dijkstra_to, distance_to};
+use cachegraph_sssp::{delta_stepping_parallel_cancellable, distance_to};
+use std::io;
 use std::sync::Mutex;
 use std::sync::{MutexGuard, PoisonError};
 
@@ -59,20 +61,24 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// How the engine's graph and artifacts are built.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Number of vertices in the generated graph.
+    /// Number of vertices in the generated graph: positive and even
+    /// (the bipartite companion splits it in half).
     pub n: usize,
-    /// Edge density of the generated graph.
+    /// Edge density of the generated graph, in `[0, 1]`.
     pub density: f64,
     /// Maximum edge weight.
     pub max_weight: Weight,
     /// Generator seed (the bipartite companion uses `seed + 1`).
     pub seed: u64,
     /// At or below this size, precompute the full APSP table with the
-    /// tiled Floyd-Warshall; above it, build landmark sketches instead.
+    /// tiled Floyd-Warshall; above it, keep the reverse graph for the
+    /// bidirectional search instead.
     pub apsp_threshold: usize,
     /// Tile size for the APSP precompute.
     pub tile: usize,
-    /// Number of landmarks when sketching.
+    /// Not read: the engine builds no landmark sketches. The field
+    /// exists only so the benchmark package (`perfbench/`), which still
+    /// reads it, keeps compiling unchanged.
     pub landmarks: usize,
     /// Worker threads for the parallel TaskGraph drivers (delta-stepping
     /// `sssp`, partitioned `match`, closure precompute).
@@ -94,6 +100,26 @@ impl Default for EngineConfig {
             threads: 2,
             delta: 16,
         }
+    }
+}
+
+impl EngineConfig {
+    /// Check the fields [`QueryEngine::build`] would otherwise panic on:
+    /// `n` must be positive and even, and `density` must lie in
+    /// `[0, 1]`. The error is [`io::ErrorKind::InvalidInput`] and names
+    /// the field.
+    pub(crate) fn validate(&self) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if self.n == 0 || !self.n.is_multiple_of(2) {
+            return invalid(format!(
+                "engine config: n = {} must be positive and even (the match companion splits it in half)",
+                self.n
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.density) {
+            return invalid(format!("engine config: density = {} must be in [0, 1]", self.density));
+        }
+        Ok(())
     }
 }
 
@@ -122,14 +148,6 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// One landmark's precomputed distance sketches.
-struct Landmark {
-    /// `from[v]` = d(landmark -> v) in the original graph.
-    from: Vec<Weight>,
-    /// `to[v]` = d(v -> landmark), computed on the reversed graph.
-    to: Vec<Weight>,
-}
-
 /// How the engine answers exact point-to-point distances, chosen by
 /// instance size.
 enum Exact {
@@ -149,11 +167,9 @@ pub struct QueryEngine {
     /// Exact reachability bits (small instances only), built by the
     /// parallel tiled boolean closure.
     closure: Option<BitMatrix>,
-    landmarks: Vec<Landmark>,
+    /// The `match` companion's left → right arcs over all `n`
+    /// vertices (right vertices have none).
     bipartite: AdjacencyArray,
-    /// The companion graph's edge list, kept for the partitioned
-    /// parallel matcher (partitioning needs the edges, not the CSR).
-    bip_edges: Vec<Edge>,
     n_left: usize,
     /// Memoised maximum-matching size for the companion graph.
     matching_size: Mutex<Option<usize>>,
@@ -164,34 +180,33 @@ pub struct QueryEngine {
 impl QueryEngine {
     /// Build the engine: generate the graph, then precompute either the
     /// APSP table (tiled FW, cancellable with a never-firing closure —
-    /// startup has no deadline) or the reverse graph and the landmark
-    /// sketches.
+    /// startup has no deadline) or the reverse graph, and stream the
+    /// `match` companion. Expects a positive, even `n` and a `density`
+    /// in `[0, 1]`, and may panic otherwise; [`start`](crate::start)
+    /// rejects other configs with a typed error before building.
     pub fn build(cfg: &EngineConfig) -> Self {
         let threads = cfg.threads.max(1);
         let builder = generators::random_directed(cfg.n, cfg.density, cfg.max_weight, cfg.seed);
         let graph = builder.build_array();
-        let (exact, closure, landmarks) = if cfg.n <= cfg.apsp_threshold {
+        let (exact, closure) = if cfg.n <= cfg.apsp_threshold {
             let reach = transitive_closure_tiled_parallel(
                 BitMatrix::from_graph(&graph),
                 cfg.tile.max(1),
                 threads,
             );
-            (Exact::Table(Self::apsp_table(&builder, cfg)), Some(reach), Vec::new())
+            (Exact::Table(Self::apsp_table(&builder, cfg)), Some(reach))
         } else {
-            let reverse = builder.reversed().build_array();
-            let landmarks = Self::sketch(&graph, &reverse, cfg);
-            (Exact::Search(reverse), None, landmarks)
+            (Exact::Search(builder.reversed().build_array()), None)
         };
-        let bip = generators::random_bipartite(cfg.n, cfg.density.max(0.02), cfg.seed + 1);
-        let bip_edges = bip.edges().to_vec();
+        drop(builder); // free the edge list before the companion streams in
+        let bipartite =
+            generators::random_bipartite_left(cfg.n, cfg.density.max(0.02), cfg.seed + 1);
         Self {
             graph,
             n: cfg.n,
             exact,
             closure,
-            landmarks,
-            bipartite: bip.build_array(),
-            bip_edges,
+            bipartite,
             n_left: cfg.n / 2,
             matching_size: Mutex::new(None),
             threads,
@@ -217,28 +232,6 @@ impl QueryEngine {
         m.to_row_major()
     }
 
-    /// Landmark sketches: forward trees on the graph, reverse trees on
-    /// the transposed graph, from `landmarks` evenly spaced vertices.
-    fn sketch(
-        graph: &AdjacencyArray,
-        reverse: &AdjacencyArray,
-        cfg: &EngineConfig,
-    ) -> Vec<Landmark> {
-        let n = cfg.n;
-        let k = cfg.landmarks.clamp(1, n);
-        let mut never = || false;
-        (0..k)
-            .map(|i| {
-                let l = (i * n / k) as VertexId;
-                // tidy: allow(panic-policy) -- never-firing closures cannot cancel
-                let from = dijkstra_to(graph, l, None, &mut never).expect("uncancellable").dist;
-                // tidy: allow(panic-policy) -- never-firing closures cannot cancel
-                let to = dijkstra_to(reverse, l, None, &mut never).expect("uncancellable").dist;
-                Landmark { from, to }
-            })
-            .collect()
-    }
-
     /// Number of vertices served.
     pub fn num_vertices(&self) -> usize {
         self.n
@@ -255,16 +248,6 @@ impl QueryEngine {
         } else {
             Err(QueryError::BadVertex { v, n: self.n })
         }
-    }
-
-    /// Triangle-inequality upper bound from the sketches (`INF` when no
-    /// landmark connects the pair, or when no sketches were built).
-    fn estimate(&self, src: VertexId, dst: VertexId) -> Weight {
-        self.landmarks
-            .iter()
-            .map(|l| l.to[src as usize].saturating_add(l.from[dst as usize]))
-            .min()
-            .unwrap_or(INF)
     }
 
     /// Exact `src -> dst` distance: one table read when the APSP table
@@ -291,8 +274,7 @@ impl QueryEngine {
         }
     }
 
-    /// The `path` answer payload: exact distance, reachability, and the
-    /// sketch estimate (so clients can see the bound's slack).
+    /// The `path` answer payload: exact distance and reachability.
     pub fn path(
         &self,
         src: VertexId,
@@ -300,17 +282,8 @@ impl QueryEngine {
         cancel: &(impl Fn() -> bool + Sync),
     ) -> Result<Json, QueryError> {
         let d = self.distance(src, dst, cancel)?;
-        let mut json = Json::obj().field("reachable", d != INF);
-        json = if d == INF { json.field("dist", Json::Null) } else { json.field("dist", u64::from(d)) };
-        if !self.landmarks.is_empty() {
-            let est = self.estimate(src, dst);
-            json = if est == INF {
-                json.field("estimate", Json::Null)
-            } else {
-                json.field("estimate", u64::from(est))
-            };
-        }
-        Ok(json)
+        let json = Json::obj().field("reachable", d != INF);
+        Ok(if d == INF { json.field("dist", Json::Null) } else { json.field("dist", u64::from(d)) })
     }
 
     /// The `reach` answer payload: one bit read when the closure matrix
@@ -360,18 +333,24 @@ impl QueryEngine {
         if let Some(size) = *lock(&self.matching_size) {
             return Ok(Self::match_json(size, self.n_left));
         }
+        let m = self.solve_matching(cancel)?;
+        *lock(&self.matching_size) = Some(m.size);
+        Ok(Self::match_json(m.size, self.n_left))
+    }
+
+    /// The companion's maximum matching, by the parallel partitioned
+    /// Fig. 9 matcher over the left-only CSR.
+    fn solve_matching(&self, cancel: &(impl Fn() -> bool + Sync)) -> Result<Matching, QueryError> {
         let scheme = PartitionScheme::Contiguous(self.threads.max(2));
-        let (m, _) = find_matching_partitioned_parallel_cancellable(
+        find_matching_partitioned_parallel_cancellable(
             &self.bipartite,
             self.n_left,
-            &self.bip_edges,
             scheme,
             self.threads,
             cancel,
         )
-        .map_err(|_| QueryError::Cancelled)?;
-        *lock(&self.matching_size) = Some(m.size);
-        Ok(Self::match_json(m.size, self.n_left))
+        .map(|(m, _)| m)
+        .map_err(|_| QueryError::Cancelled)
     }
 
     fn match_json(size: usize, n_left: usize) -> Json {
@@ -382,7 +361,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachegraph_matching::{find_matching, Matching};
+    use cachegraph_matching::{find_matching, verify};
     use cachegraph_sssp::dijkstra_binary_heap;
 
     fn small_cfg() -> EngineConfig {
@@ -410,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn large_engine_answers_exactly_with_sketch_upper_bound() {
+    fn large_engine_answers_exactly_by_search() {
         let cfg = large_cfg();
         let e = QueryEngine::build(&cfg);
         assert!(!e.has_apsp());
@@ -421,9 +400,6 @@ mod tests {
             for dst in 0..cfg.n as u32 {
                 let d = e.distance(src, dst, &|| false).expect("not cancelled");
                 assert_eq!(d, plain.dist[dst as usize], "{src} -> {dst}");
-                // The sketch estimate is an upper bound on the true distance.
-                let est = e.estimate(src, dst);
-                assert!(est >= d, "estimate {est} below true distance {d}");
                 let bit = e.reach(src, dst, &|| false).expect("not cancelled");
                 assert_eq!(
                     bit.get("reachable"),
@@ -452,25 +428,34 @@ mod tests {
 
     #[test]
     fn matching_is_memoised_and_agrees_with_direct_solver() {
-        let cfg = small_cfg();
-        let e = QueryEngine::build(&cfg);
-        let b = generators::random_bipartite(cfg.n, cfg.density.max(0.02), cfg.seed + 1);
-        let g = b.build_array();
-        let direct = find_matching(&g, cfg.n / 2, Matching::empty(cfg.n));
-        let first = e.matching(&|| false).expect("not cancelled");
-        assert_eq!(first.get("matching_size").and_then(Json::as_u64), Some(direct.size as u64));
-        // Second call hits the memo: a cancel-everything closure cannot
-        // touch it any more.
-        let second = e.matching(&|| true).expect("memoised");
-        assert_eq!(second.get("matching_size"), first.get("matching_size"));
+        for cfg in [small_cfg(), large_cfg()] {
+            let e = QueryEngine::build(&cfg);
+            let b = generators::random_bipartite(cfg.n, cfg.density.max(0.02), cfg.seed + 1);
+            let g = b.build_array();
+            let direct = find_matching(&g, cfg.n / 2, Matching::empty(cfg.n));
+            let first = e.matching(&|| false).expect("not cancelled");
+            assert_eq!(first.get("matching_size").and_then(Json::as_u64), Some(direct.size as u64));
+            // The served matching is maximum on the engine's own
+            // left-only companion (a König certificate).
+            let served = e.solve_matching(&|| false).expect("not cancelled");
+            assert_eq!(served.size, direct.size, "n = {}", cfg.n);
+            verify::assert_maximum(&e.bipartite, cfg.n / 2, &served);
+            // Second call hits the memo: a cancel-everything closure cannot
+            // touch it any more.
+            let second = e.matching(&|| true).expect("memoised");
+            assert_eq!(second.get("matching_size"), first.get("matching_size"));
+        }
     }
 
     #[test]
     fn path_payload_shape() {
-        let e = QueryEngine::build(&small_cfg());
-        let p = e.path(0, 1, &|| false).expect("ok");
-        assert!(p.get("reachable").is_some());
-        assert!(p.get("dist").is_some());
+        for cfg in [small_cfg(), large_cfg()] {
+            let e = QueryEngine::build(&cfg);
+            let p = e.path(0, 1, &|| false).expect("ok");
+            assert!(p.get("reachable").is_some());
+            assert!(p.get("dist").is_some());
+            assert!(p.get("estimate").is_none(), "{}", p.render());
+        }
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //!
 //! A crash-only graph-query daemon over plain `std::net`: load a
 //! graph, precompute cache-friendly artifacts (the tiled-APSP table of
-//! paper §3.1 for small instances, landmark Dijkstra sketches
-//! otherwise), and answer point-to-point `path` / `reach` / `match`
-//! queries through a fixed worker pool fronted by a sharded,
-//! cache-line-aligned LRU result cache.
+//! paper §3.1 for small instances, the reverse CSR for an exact
+//! bidirectional search otherwise, and the `match` companion streamed
+//! straight into a left-only CSR that the partitioned Fig. 9 matcher
+//! carves its parts from), and answer point-to-point `path` / `reach` /
+//! `match` queries through a fixed worker pool fronted by a sharded,
+//! cache-line-aligned LRU result cache. A config the engine cannot be
+//! built from (an odd `n`, a `density` outside `[0, 1]`) fails
+//! [`start`] with a typed `InvalidInput` error before anything is
+//! bound.
 //!
 //! The robustness layer is the point (this is where "optimised for
 //! cache" meets "keeps running"):

@@ -487,8 +487,11 @@ impl ServerHandle {
     }
 }
 
-/// Bind `127.0.0.1:port` (0 = ephemeral), build the engine, start the
-/// acceptor and worker pool, and return the handle.
+/// Validate the engine config, bind `127.0.0.1:port` (0 = ephemeral),
+/// build the engine, start the acceptor and worker pool, and return the
+/// handle. An engine config with a zero or odd `n` or a `density`
+/// outside `[0, 1]` fails with [`std::io::ErrorKind::InvalidInput`],
+/// naming the field, before anything is bound or built.
 pub fn start(
     cfg: ServerConfig,
     fault_plan: FaultPlan,
@@ -504,6 +507,7 @@ pub fn start_on(
     registry: Registry,
     port: u16,
 ) -> std::io::Result<ServerHandle> {
+    cfg.engine.validate()?;
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let port = listener.local_addr()?.port();
     let engine = QueryEngine::build(&cfg.engine);

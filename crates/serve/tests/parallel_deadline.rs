@@ -18,14 +18,12 @@ use cachegraph_serve::{
 const THREADS: usize = 4;
 
 /// A 2000-vertex engine: above the APSP threshold, so `sssp` really
-/// runs the parallel delta-stepping driver at query time. One landmark
-/// keeps startup cheap; it plays no part in the sssp path.
+/// runs the parallel delta-stepping driver at query time.
 fn big_engine_config() -> EngineConfig {
     EngineConfig {
         n: 2_000,
         density: 0.005,
         seed: 9,
-        landmarks: 1,
         threads: THREADS,
         delta: 8,
         ..EngineConfig::default()

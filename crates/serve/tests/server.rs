@@ -30,6 +30,31 @@ fn shutdown_and_join(handle: ServerHandle) -> cachegraph_obs::Snapshot {
 }
 
 #[test]
+fn invalid_engine_configs_fail_start_with_invalid_input() {
+    let with = |engine: EngineConfig| ServerConfig { engine, ..small_config() };
+    let base = small_config().engine;
+    let mut cases: Vec<(ServerConfig, String)> = [0usize, 1, 47, 201]
+        .into_iter()
+        .map(|n| (with(EngineConfig { n, ..base.clone() }), format!("n = {n}")))
+        .collect();
+    for density in [1.5, f64::NAN] {
+        cases.push((with(EngineConfig { density, ..base.clone() }), format!("density = {density}")));
+    }
+    for (cfg, names) in cases {
+        match start(cfg, FaultPlan::none(), Registry::new()) {
+            Ok(handle) => {
+                shutdown_and_join(handle);
+                unreachable!("{names}: an invalid engine config started a server");
+            }
+            Err(e) => {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{names}: {e}");
+                assert!(e.to_string().contains(&names), "{names}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
 fn answers_match_direct_dijkstra() {
     let cfg = small_config();
     let g = generators::random_directed(48, 0.1, 100, 5).build_array();

@@ -41,7 +41,7 @@ fn main() {
     let t_base = t0.elapsed();
 
     let t0 = Instant::now();
-    let (opt, stats) = find_matching_partitioned(&g, views, b.edges(), PartitionScheme::Contiguous(16));
+    let (opt, stats) = find_matching_partitioned(&g, views, PartitionScheme::Contiguous(16));
     let t_opt = t0.elapsed();
 
     assert_eq!(base.size, opt.size);

@@ -145,7 +145,7 @@ fn matching_consensus() {
     assert_eq!(hopcroft_karp(&g, n / 2).size, base.size);
     assert_eq!(maxflow::matching_by_flow(n, n / 2, b.edges()), base.size as u64);
     for scheme in [PartitionScheme::Contiguous(4), PartitionScheme::TwoWay] {
-        let (m, _) = find_matching_partitioned(&g, n / 2, b.edges(), scheme);
+        let (m, _) = find_matching_partitioned(&g, n / 2, scheme);
         assert_eq!(m.size, base.size);
     }
 }
