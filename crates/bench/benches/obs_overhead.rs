@@ -51,8 +51,9 @@ const SAMPLED_BUDGET: f64 = 1.05;
 /// Traced serve path versus the same round with tracing disabled.
 const TRACED_SERVE_BUDGET: f64 = 1.10;
 /// Parallel FW through the shared TaskGraph executor versus the
-/// hand-rolled PR 5 phase loop it replaced: the generic dispatch
-/// (`cachegraph_plan::run_tasks`) must stay within noise of the
+/// hand-rolled spawn loop it replaced, both on the same phase loop,
+/// tile split and kernel: the generic dispatch
+/// (`cachegraph_plan::run_tasks_mut`) must stay within noise of the
 /// bespoke loop.
 const TASKGRAPH_DISPATCH_BUDGET: f64 = 1.05;
 

@@ -7,10 +7,12 @@
 //! * the task plan per phase is [`cachegraph_fw::plan::Planner`] — the
 //!   same calls `fw_tiled_parallel` makes;
 //! * tasks are assigned to workers with the same chunking as
-//!   `run_parallel` (`threads.min(tasks).max(1)` workers, contiguous
+//!   `run_tasks_mut` (`threads.min(tasks).max(1)` workers, contiguous
 //!   chunks of `len.div_ceil(threads)` tasks);
 //! * each worker's work is split into *steps*: one outer-`k` iteration
-//!   of the FWI kernel per step, in exactly `fwi_raw`'s operation order.
+//!   of the FWI kernel per step, in exactly the order of the
+//!   trait-default `CellAccess::fwi_block` (the timed slice kernel gives
+//!   the same bits in an order of its own).
 //!
 //! A schedule is a sequence of worker ids; the scheduler runs the next
 //! step of the named worker at each position. The scheduler itself —
@@ -166,8 +168,8 @@ fn note(first: &mut Option<Race>, race: Option<Race>) {
     }
 }
 
-/// One outer-`k` iteration of `FWI(A, B, C)` for `task`, in exactly
-/// `fwi_raw`'s operation order, against the shadow.
+/// One outer-`k` iteration of `FWI(A, B, C)` for `task`, in exactly the
+/// trait-default `fwi_block` order, against the shadow.
 fn k_step(shadow: &mut ShadowStorage, task: &TileTask, k: usize, b: usize, tid: u16, first: &mut Option<Race>) {
     for i in 0..b {
         let (bik, race) = shadow.read(task.b.at(i, k), tid);
@@ -200,7 +202,7 @@ struct PhaseCtx {
 /// Explore one parallel phase through the generic engine in
 /// [`cachegraph_plan::schedule`]: one step = one outer-`k` iteration of
 /// a task's kernel ([`k_step`]), workers chunked exactly like
-/// `run_parallel`. On return `shadow` holds the canonical end-of-phase
+/// `run_tasks_mut`. On return `shadow` holds the canonical end-of-phase
 /// state (what the barriered driver computes).
 fn explore_phase(
     shadow: &mut ShadowStorage,

@@ -1,25 +1,28 @@
 //! `cachegraph-check`: a vendored, zero-dependency mini-loom for the
 //! parallel tiled Floyd-Warshall driver.
 //!
-//! `fw::parallel` is the only part of the workspace built on `unsafe`
-//! raw-pointer sharing. Its soundness rests on one claim, repeated in
-//! every `SAFETY:` comment: *within each parallel phase, every task
-//! writes only its own tile, and no task reads a cell any other task of
-//! that phase writes*. This crate turns that comment into a machine-
-//! checked fact, in the spirit of loom/CDSChecker-style exhaustive
-//! interleaving exploration but vendored and deterministic (the sandbox
-//! has no registry access and no Miri):
+//! `fw::parallel` rests on one claim: *within each parallel phase,
+//! every task writes only its own tile, and no task reads a cell any
+//! other task of that phase writes*. The driver states it with borrows —
+//! once per phase it splits the storage into tiles, each task owning its
+//! A tile as `&mut` and reading its other tiles as `&` — so a plan that
+//! broke it fails the split instead of racing. This crate proves, before
+//! anything runs, that no plan the driver builds fails the split, and
+//! that every schedule of the phases computes the sequential result, in
+//! the spirit of loom/CDSChecker-style exhaustive interleaving
+//! exploration but vendored and deterministic (the sandbox has no
+//! registry access and no Miri):
 //!
 //! * [`oracle`] — the **footprint oracle**: for every `(n, b)` in a
 //!   sweep, builds the same task plan the driver executes
 //!   ([`cachegraph_fw::plan::Planner`]) and proves each phase's write
 //!   footprints pairwise disjoint and disjoint from all other tasks'
-//!   read footprints — the exact precondition the `SAFETY:` comments
-//!   claim. Pure set arithmetic over the declared cell ranges; the
+//!   read footprints — the exact precondition of the driver's tile
+//!   split. Pure set arithmetic over the declared cell ranges; the
 //!   `fw` disjointness test separately proves the declared ranges cover
 //!   every access the real kernel performs.
 //! * [`shadow`] — [`shadow::ShadowStorage`]: an epoch-stamped shadow of
-//!   the matrix storage (no raw pointers). Every cell records the phase
+//!   the matrix storage. Every cell records the phase
 //!   epoch of its last write plus current-phase reader/writer task sets,
 //!   so any same-phase conflicting access — write/write, read of a
 //!   concurrently written cell, write of a concurrently read cell — is
@@ -30,8 +33,9 @@
 //!   enumerates task interleavings per phase (exhaustively when the
 //!   interleaving count is within a bound, else seeded-random via
 //!   `cachegraph-rng`, with the failing schedule and seed reported for
-//!   replay). Workers mirror `run_parallel`'s chunking; steps mirror
-//!   `fwi_raw`'s operation order at outer-`k`-iteration granularity.
+//!   replay). Workers mirror `run_tasks_mut`'s chunking; steps mirror
+//!   the trait-default `fwi_block` order (the loop the simulated
+//!   parallel run executes) at outer-`k`-iteration granularity.
 //!   Every raceless schedule must reproduce the sequential tiled result.
 //! * **Mutation mode** ([`explore::ExploreOptions::merge_phases`]) —
 //!   deliberately omits the barrier between phases 2 and 3 and asserts

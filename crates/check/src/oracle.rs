@@ -3,7 +3,8 @@
 //! For a given `(n, b)` tiling this builds the exact task plan the
 //! parallel driver executes (`cachegraph_fw::plan::Planner`) and checks,
 //! for every block iteration and each of its two parallel phases, the
-//! precondition each `SAFETY:` comment in `fw::parallel` claims:
+//! precondition of `fw::parallel`'s tile split (each task borrows its A
+//! tile mutably and the tiles it reads shared):
 //!
 //! 1. write footprints are pairwise disjoint (each tile is written by
 //!    exactly one task per phase), and
@@ -14,7 +15,7 @@
 //! [`cachegraph_plan::footprint`] (shared with every driver checker); the
 //! companion test in `cachegraph-fw` (`phase_tasks_access_disjoint_cells`)
 //! proves the declared ranges cover every access the real kernel makes,
-//! so together they discharge the driver's soundness argument.
+//! so together they show every plan of the sweep splits into borrows.
 
 use std::collections::BTreeSet;
 use std::fmt;

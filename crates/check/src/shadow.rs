@@ -1,4 +1,5 @@
-//! Epoch-stamped shadow storage: the safe stand-in for `SharedStorage`.
+//! Epoch-stamped shadow storage: the stand-in for the matrix storage the
+//! parallel driver splits into tiles.
 //!
 //! The mechanism — per-cell phase epochs, current-phase reader/writer
 //! sets, conflict detection on both orders of a racing pair — now lives

@@ -172,6 +172,9 @@ fn cmd_gen(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let kind = args.get_or("kind", "random");
     let seed: u64 = args.parse_or("seed", 42, "integer")?;
     let density: f64 = args.parse_or("density", 0.1, "number")?;
+    if !(0.0..=1.0).contains(&density) {
+        return Err(CliError::Usage(format!("--density must be in [0, 1], got {density}")));
+    }
     let max_w: u32 = args.parse_or("max-weight", 100, "integer")?;
     let b = match kind {
         "random" => {
@@ -186,6 +189,9 @@ fn cmd_gen(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         "bipartite" => {
             let n: usize = args.parse_required("n", "integer")?;
+            if !n.is_multiple_of(2) {
+                return Err(CliError::Usage(format!("--n must be even for --kind bipartite, got {n}")));
+            }
             generators::random_bipartite(n, density, seed)
         }
         "grid" => {
@@ -1689,7 +1695,23 @@ mod tests {
             run_str("gen", &["--kind", "weird", "--n", "4", "-o", "/tmp/x.gr"]),
             Err(CliError::Invalid(_))
         ));
+        // Inputs the generators cannot take are usage errors, named by
+        // their flag.
         let path = tmp("err.gr");
+        for (flags, flag) in [
+            (&["--kind", "bipartite", "--n", "7"][..], "--n"),
+            (&["--kind", "random", "--n", "8", "--density", "1.5"][..], "--density"),
+            (&["--kind", "random", "--n", "8", "--density", "-0.1"][..], "--density"),
+            (&["--kind", "bipartite", "--n", "8", "--density", "nan"][..], "--density"),
+        ] {
+            let args: Vec<&str> = flags.iter().copied().chain(["-o", path.as_str()]).collect();
+            match run_str("gen", &args) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{flags:?}: {m}"),
+                other => panic!("{flags:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        // n = 0 is an empty graph, not an error.
+        run_str("gen", &["--kind", "random", "--n", "0", "-o", &path]).expect("gen n = 0");
         run_str("gen", &["--kind", "random", "--n", "8", "-o", &path]).expect("gen");
         assert!(matches!(
             run_str("sssp", &["-i", &path, "--source", "99"]),

@@ -103,6 +103,7 @@ exit codes: 0 success; 1 runtime failure (bad input file, corrupt
 report, repro run with no completed experiment, any non-completion
 under --strict, a query answered with a non-OK status, a loadgen run
 with unresolved requests); 2 usage error (unknown command, flag, or
-argument, or a serve engine config it rejects: an odd --gen-n, a
---density outside [0, 1]).
+argument; a gen input it rejects: a --density outside [0, 1], an odd
+--n for --kind bipartite; or a serve engine config it rejects: an odd
+--gen-n, a --density outside [0, 1]).
 ";

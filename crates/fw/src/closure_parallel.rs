@@ -28,8 +28,20 @@ use std::ops::Range;
 
 use cachegraph_plan::{run_tasks_mut, NoSink, TaskFootprint, TaskGraph, UnitSink};
 
-use crate::cancel::FwCancelled;
 use crate::closure::BitMatrix;
+
+/// The computation was abandoned at a band or row-chunk boundary. The
+/// partial closure is dropped, never returned.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FwCancelled;
+
+impl std::fmt::Display for FwCancelled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "tiled closure cancelled at a band or row-chunk boundary")
+    }
+}
+
+impl std::error::Error for FwCancelled {}
 
 /// The task plan for one band iteration of the parallel closure driver.
 #[derive(Clone, Debug)]
@@ -307,5 +319,6 @@ mod tests {
             Err(p) => p.into_inner(),
         };
         assert!(ids.len() > threads, "coordinator + {threads} workers must all poll");
+        assert!(FwCancelled.to_string().contains("row-chunk boundary"));
     }
 }

@@ -13,6 +13,7 @@
 use cachegraph_graph::{Weight, INF};
 use cachegraph_layout::{BlockLayout, Layout, RowMajor, ZMorton};
 use cachegraph_obs::Registry;
+use cachegraph_plan::worker_count;
 use cachegraph_sim::{
     AddressSpace, CacheProfile, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProfilerOptions,
     ScopeGuard, ScopeHandle, TracedBuffer,
@@ -20,7 +21,8 @@ use cachegraph_sim::{
 
 use crate::kernel::{fwi_access, CellAccess, StridedView, View};
 use crate::observed::FwEvent;
-use crate::plan::{Planner, TileTask};
+use crate::parallel::{for_each_phase, Phase, TileBorrow};
+use crate::plan::TileTask;
 use crate::recursive::{run_recursive, run_recursive_with};
 use crate::tiled::{run_tiled, run_tiled_with};
 
@@ -259,101 +261,55 @@ fn run_tiled_scoped<L: StridedView>(
     });
 }
 
-/// Cells of the parallel simulation's shared distance matrix: real
-/// updates go through the raw pointer (the same phase-disjointness
-/// argument as `fw::parallel`'s `SharedStorage`), while each worker
-/// separately feeds its accesses to a private simulated hierarchy.
-#[derive(Clone, Copy)]
-struct SharedCells {
-    ptr: *mut Weight,
-    len: usize,
-}
-
-// SAFETY: the handle is a plain pointer+len pair with no interior state;
-// all concurrent access goes through `read`/`write`, whose callers uphold
-// the per-phase task disjointness (each A tile written by exactly one
-// task per phase, B/C tiles only read).
-unsafe impl Sync for SharedCells {}
-// SAFETY: moving the handle to another thread transfers no aliasing
-// obligations; soundness rests on the per-phase task disjointness, not on
-// which thread holds the copy.
-unsafe impl Send for SharedCells {}
-
-impl SharedCells {
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Weight {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and no concurrent writer, per this method's
-        // contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// reading or writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn write(&self, idx: usize, v: Weight) {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and exclusive access to this cell, per this
-        // method's contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) = v }
-    }
-}
-
 /// Base simulated address of the parallel run's shared matrix. Every
 /// worker maps cell `idx` to the same address — private caches over one
 /// shared array — and the page-aligned base keeps tile alignment
 /// identical to the sequential sims.
 const PARALLEL_SIM_BASE: u64 = 0x1000_0000;
 
-/// Accessor for one parallel worker: cell values live in the shared
-/// storage, cache behavior is simulated on the worker's private
-/// hierarchy.
-struct SharedSimAccess<'h> {
-    cells: SharedCells,
+/// Accessor for one task of the parallel simulation: cell values live in
+/// the task's borrowed tiles, cache behavior is simulated on the
+/// worker's private hierarchy at the cell's address in the shared array.
+struct TracedTiles<'t, 'm, 'h> {
+    task: &'t mut TileBorrow<'m>,
     hier: &'h mut MemoryHierarchy,
 }
 
-impl<'h> SharedSimAccess<'h> {
-    /// # Safety
-    /// For this accessor's lifetime, no other thread may write any cell
-    /// it reads nor touch any cell it writes (the planner's per-phase
-    /// task disjointness).
-    unsafe fn new(cells: SharedCells, hier: &'h mut MemoryHierarchy) -> Self {
-        Self { cells, hier }
-    }
-}
-
-impl CellAccess for SharedSimAccess<'_> {
+impl CellAccess for TracedTiles<'_, '_, '_> {
     #[inline]
     fn read(&mut self, idx: usize) -> Weight {
         let size = std::mem::size_of::<Weight>();
         self.hier.read(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        // SAFETY: disjointness upheld by the constructor's contract.
-        unsafe { self.cells.read(idx) }
+        let t = &*self.task;
+        [(t.task.a, Some(&*t.a)), (t.task.b, t.b), (t.task.c, t.c)]
+            .into_iter()
+            .find_map(|(v, tile)| tile?.get(idx.checked_sub(v.offset)?).copied())
+            .unwrap_or_else(|| unreachable!("the kernel reads only its task's tiles"))
     }
 
     #[inline]
     fn write(&mut self, idx: usize, v: Weight) {
         let size = std::mem::size_of::<Weight>();
         self.hier.write(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        // SAFETY: disjointness upheld by the constructor's contract.
-        unsafe { self.cells.write(idx, v) }
+        self.task.a[idx - self.task.task.a.offset] = v;
     }
 }
 
+/// A task of the simulated run: the trait-default kernel on its tiles,
+/// through a [`TracedTiles`] accessor on `hier`.
+fn run_traced_task(task: &mut TileBorrow<'_>, hier: &mut MemoryHierarchy, b: usize) {
+    let TileTask { a, b: vb, c } = task.task;
+    fwi_access(&mut TracedTiles { task, hier }, a, vb, c, b);
+}
+
 /// Run one parallel phase of the profiled simulation: `tasks` split
-/// contiguously across the workers (the same `div_ceil` chunking as
-/// `fw::parallel`), each worker simulating its share on its private
-/// hierarchy under a `{label}/thread[w]` scope nested in the `{label}`
-/// root. `std::thread::scope` joins every worker before returning — the
-/// inter-phase barrier.
-fn run_parallel_profiled(
-    cells: SharedCells,
-    tasks: &[TileTask],
+/// contiguously across the workers (the chunking of
+/// [`cachegraph_plan::run_tasks_mut`]), each worker simulating its share
+/// on its private hierarchy under a `{label}/thread[w]` scope nested in
+/// the `{label}` root. `std::thread::scope` joins every worker before
+/// returning — the inter-phase barrier.
+fn run_sim_phase(
+    tasks: &mut [TileBorrow<'_>],
     b: usize,
     label: &str,
     workers: &mut [(MemoryHierarchy, ScopeHandle)],
@@ -361,21 +317,14 @@ fn run_parallel_profiled(
     if tasks.is_empty() {
         return;
     }
-    let active = workers.len().min(tasks.len()).max(1);
-    let chunk = tasks.len().div_ceil(active);
+    let chunk = tasks.len().div_ceil(worker_count(tasks.len(), workers.len()));
     std::thread::scope(|s| {
-        for (w, (slice, worker)) in tasks.chunks(chunk).zip(workers.iter_mut()).enumerate() {
+        for (w, (slice, (hier, scope))) in tasks.chunks_mut(chunk).zip(workers.iter_mut()).enumerate() {
             s.spawn(move || {
-                let (hier, scope) = worker;
                 let _root = scope.enter(label);
                 let _thread = scope.enter(&format!("{label}/thread[{w}]"));
-                // SAFETY: each task's A tile is written by exactly one
-                // task in this phase; B/C tiles are only read and are not
-                // any task's A tile in this phase (the plan-level
-                // disjointness machine-checked by `cachegraph-check`).
-                let mut acc = unsafe { SharedSimAccess::new(cells, hier) };
                 for task in slice {
-                    fwi_access(&mut acc, task.a, task.b, task.c, b);
+                    run_traced_task(task, hier, b);
                 }
             });
         }
@@ -383,15 +332,15 @@ fn run_parallel_profiled(
 }
 
 /// Parallel tiled Floyd-Warshall (the three-phase plan of
-/// [`fw_tiled_parallel`](crate::parallel::fw_tiled_parallel)) simulated
-/// with one private cache hierarchy **and one attribution profiler per
-/// worker**, merged when the scoped threads join. The model is
-/// private-cache SMP: every worker simulates the same shared address
-/// range on its own hierarchy, so the merged counters are the sum of
-/// per-core traffic. The merged profile keeps one `{label}/thread[w]`
-/// span per worker plus a `{label}/diag` span for the sequential
-/// diagonal phase (simulated on worker 0); in exact mode its `sum_self`
-/// equals the merged aggregate exactly.
+/// [`fw_tiled_parallel`](crate::parallel::fw_tiled_parallel), through
+/// the same phase loop and tile split) simulated with one private cache
+/// hierarchy **and one attribution profiler per worker**, merged when
+/// the scoped threads join. The model is private-cache SMP: every worker
+/// simulates the same shared address range on its own hierarchy, so the
+/// merged counters are the sum of per-core traffic. The merged profile
+/// keeps one `{label}/thread[w]` span per worker plus a `{label}/diag`
+/// span for the sequential diagonal phase (simulated on worker 0); in
+/// exact mode its `sum_self` equals the merged aggregate exactly.
 pub fn sim_tiled_parallel_profiled(
     costs: &[Weight],
     n: usize,
@@ -405,7 +354,6 @@ pub fn sim_tiled_parallel_profiled(
     let label = "fw.tiled.parallel";
     let layout = BlockLayout::new(n, b);
     let mut data = padded_storage(&layout, costs);
-    let planner = Planner::new(&layout, n, b);
     let mut workers: Vec<(MemoryHierarchy, ScopeHandle)> = (0..threads)
         .map(|_| {
             let mut h = MemoryHierarchy::new_classifying(config.clone());
@@ -413,26 +361,20 @@ pub fn sim_tiled_parallel_profiled(
             (h, scope)
         })
         .collect();
-    let cells = SharedCells { ptr: data.as_mut_ptr(), len: data.len() };
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        {
-            // Phase 1: the sequential diagonal tile, simulated on
-            // worker 0 under a dedicated scope.
+    for_each_phase(&layout, n, b, &mut data, |_, phase, tasks| {
+        if phase == Phase::Diagonal {
+            // The sequential diagonal tile, simulated on worker 0 under
+            // a dedicated scope.
             let (hier, scope) = &mut workers[0];
-            let diag = planner.phase1(t);
             let _root = scope.enter(label);
             let _diag = scope.enter(&format!("{label}/diag"));
-            // SAFETY: no other thread is running.
-            let mut acc = unsafe { SharedSimAccess::new(cells, hier) };
-            fwi_access(&mut acc, diag.a, diag.b, diag.c, b);
+            for task in tasks {
+                run_traced_task(task, hier, b);
+            }
+        } else {
+            run_sim_phase(tasks, b, label, &mut workers);
         }
-        planner.phase2(t, &mut phase2);
-        run_parallel_profiled(cells, &phase2, b, label, &mut workers);
-        planner.phase3(t, &mut phase3);
-        run_parallel_profiled(cells, &phase3, b, label, &mut workers);
-    }
+    });
     let mut stats: Option<HierarchyStats> = None;
     let mut parts = Vec::with_capacity(workers.len());
     for (mut hier, _scope) in workers {

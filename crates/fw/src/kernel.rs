@@ -13,7 +13,9 @@
 //! with a slice kernel that gives the same bits faster: it dispatches on
 //! each call to an AVX2 instance when the CPU has AVX2
 //! ([`fwi_instance`]), and runs a call whose A tile is disjoint from B
-//! and C with every `k` fused into register-resident rows of A.
+//! and C with every `k` fused into register-resident rows of A. The same
+//! kernel also runs over tiles borrowed apart ([`fwi_tiles`]), which is
+//! how the parallel tiled driver hands each task its operands.
 
 // tidy: kernel
 use cachegraph_graph::{Weight, INF};
@@ -134,7 +136,7 @@ impl CellAccess for SliceAccess<'_> {
     }
 
     fn fwi_block(&mut self, a: View, b: View, c: View, size: usize) {
-        fwi_slice(self.0, a, b, c, size);
+        fwi_slice(InSlice { data: &mut *self.0, a, b, c }, size);
     }
 }
 
@@ -160,9 +162,26 @@ fn avx2_detected() -> bool {
     false
 }
 
+/// FWI(A, B, C) over borrowed `size x size` tiles, each a contiguous
+/// row-major run of `size * size` weights. `b` and `c` are tiles apart
+/// from A, or `None` where that operand is A itself. These are the
+/// shapes of the parallel tiled driver's phases: the diagonal tile (both
+/// `None`), a row-`t` tile (`c` is A), a column-`t` tile (`b` is A) and
+/// a remaining tile (all apart). The result has the same bits as
+/// [`fwi`] over the same cells: tiles all apart run fused, the others
+/// `k`-outer, in the same instance [`fwi_instance`] names.
+pub fn fwi_tiles(a: &mut [Weight], b: Option<&[Weight]>, c: Option<&[Weight]>, size: usize) {
+    let len = size * size;
+    assert!(
+        a.len() == len && b.is_none_or(|t| t.len() == len) && c.is_none_or(|t| t.len() == len),
+        "every tile must hold {size} x {size} weights"
+    );
+    fwi_slice(InTiles { a, b, c, size }, size);
+}
+
 /// The slice kernel, dispatched on every call: the AVX2 instance when the
 /// CPU has AVX2, else the baseline instance.
-fn fwi_slice(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
+fn fwi_slice<O: Operands>(ops: O, size: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_detected() {
@@ -170,27 +189,32 @@ fn fwi_slice(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
             // `#[target_feature(enable = "avx2")]` function is that the
             // CPU supports AVX2, which `avx2_detected` has just checked
             // at run time.
-            unsafe { fwi_slice_avx2(data, a, b, c, size) };
+            unsafe { fwi_slice_avx2(ops, size) };
             return;
         }
     }
-    fwi_slice_baseline(data, a, b, c, size);
+    fwi_slice_baseline(ops, size);
 }
 
-/// [`fwi_slice_body`] compiled for the build's baseline target features.
-fn fwi_slice_baseline(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
-    fwi_slice_body(data, a, b, c, size);
+/// [`Operands::fwi`] compiled for the build's baseline target features.
+fn fwi_slice_baseline<O: Operands>(ops: O, size: usize) {
+    ops.fwi(size);
 }
 
-/// [`fwi_slice_body`] compiled with AVX2 enabled, which gives LLVM packed
+/// [`Operands::fwi`] compiled with AVX2 enabled, which gives LLVM packed
 /// unsigned 32-bit `min` (baseline x86-64 has none).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fwi_slice_avx2(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
-    fwi_slice_body(data, a, b, c, size);
+fn fwi_slice_avx2<O: Operands>(ops: O, size: usize) {
+    ops.fwi(size);
 }
 
-/// FWI over a plain slice, in the trait default's operation order or
+/// The operands of one slice-kernel call: three views into one storage
+/// slice ([`InSlice`]) or borrowed tiles ([`InTiles`]). The fused and
+/// `k`-outer loops are written once against the three accessors; each
+/// kind of operand is one instantiation of them.
+///
+/// [`Operands::fwi`] runs FWI in the trait default's operation order or
 /// in one that provably gives the same bits:
 ///
 /// * A shares no cell with B or C: B and C stay constant for the whole
@@ -201,17 +225,99 @@ fn fwi_slice_avx2(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
 ///   During step `k`, `b[i][k]` and row `k` of C do not change (a write
 ///   to them would be `x = min(x, x + w)`), so the step may copy that
 ///   row out and sweep A in any order;
-/// * any other overlap: the trait default's cell-by-cell loop.
-#[inline(always)]
-fn fwi_slice_body(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
-    let b_apart = views_disjoint(a, b, size);
-    let c_apart = views_disjoint(a, c, size);
-    if b_apart && c_apart {
-        fwi_fused(data, a, b, c, size);
-    } else if (b_apart || b == a) && (c_apart || c == a) {
-        fwi_k_outer(data, a, b, c, size);
-    } else {
-        CellByCell(data).fwi_block(a, b, c, size);
+/// * any other overlap (views only): the trait default's cell-by-cell
+///   loop.
+trait Operands: Sized {
+    /// `b[i][k]`.
+    fn b_at(&self, i: usize, k: usize) -> Weight;
+
+    /// Columns `j0..j0 + w` of row `k` of C.
+    fn c_run(&self, k: usize, j0: usize, w: usize) -> &[Weight];
+
+    /// Columns `j0..j0 + w` of row `i` of A.
+    fn a_run(&mut self, i: usize, j0: usize, w: usize) -> &mut [Weight];
+
+    /// FWI over these operands, through the loop their overlap allows.
+    fn fwi(self, size: usize);
+}
+
+/// Operands as three views into one storage slice.
+struct InSlice<'d> {
+    data: &'d mut [Weight],
+    a: View,
+    b: View,
+    c: View,
+}
+
+impl Operands for InSlice<'_> {
+    #[inline(always)]
+    fn b_at(&self, i: usize, k: usize) -> Weight {
+        self.data[self.b.at(i, k)]
+    }
+
+    #[inline(always)]
+    fn c_run(&self, k: usize, j0: usize, w: usize) -> &[Weight] {
+        let start = self.c.at(k, j0);
+        &self.data[start..start + w]
+    }
+
+    #[inline(always)]
+    fn a_run(&mut self, i: usize, j0: usize, w: usize) -> &mut [Weight] {
+        let start = self.a.at(i, j0);
+        &mut self.data[start..start + w]
+    }
+
+    #[inline(always)]
+    fn fwi(mut self, size: usize) {
+        let (a, b, c) = (self.a, self.b, self.c);
+        let b_apart = views_disjoint(a, b, size);
+        let c_apart = views_disjoint(a, c, size);
+        if b_apart && c_apart {
+            fwi_fused(&mut self, size);
+        } else if (b_apart || b == a) && (c_apart || c == a) {
+            fwi_k_outer(&mut self, size);
+        } else {
+            CellByCell(self.data).fwi_block(a, b, c, size);
+        }
+    }
+}
+
+/// Operands as borrowed `size x size` tiles: B and C are tiles apart
+/// from A, or A itself where `None`.
+struct InTiles<'t> {
+    a: &'t mut [Weight],
+    b: Option<&'t [Weight]>,
+    c: Option<&'t [Weight]>,
+    size: usize,
+}
+
+impl Operands for InTiles<'_> {
+    #[inline(always)]
+    fn b_at(&self, i: usize, k: usize) -> Weight {
+        self.b.unwrap_or(self.a)[i * self.size + k]
+    }
+
+    #[inline(always)]
+    fn c_run(&self, k: usize, j0: usize, w: usize) -> &[Weight] {
+        let start = k * self.size + j0;
+        &self.c.unwrap_or(self.a)[start..start + w]
+    }
+
+    #[inline(always)]
+    fn a_run(&mut self, i: usize, j0: usize, w: usize) -> &mut [Weight] {
+        let start = i * self.size + j0;
+        &mut self.a[start..start + w]
+    }
+
+    /// Tiles borrowed apart are apart or A itself by construction, so
+    /// they need no overlap test.
+    #[inline(always)]
+    fn fwi(mut self, size: usize) {
+        if self.b.is_some() && self.c.is_some() {
+            fwi_fused(&mut self, size);
+        } else {
+            fwi_k_outer(&mut self, size);
+        }
     }
 }
 
@@ -248,67 +354,47 @@ const LANES: usize = 32;
 /// The fused kernel for A disjoint from B and C: rows of A two at a
 /// time, each row loaded once, every `k` folded into it, stored once.
 #[inline(always)]
-fn fwi_fused(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
+fn fwi_fused<O: Operands>(ops: &mut O, size: usize) {
     let mut i = 0;
     while i + 2 <= size {
-        fused_rows::<2>(data, a, b, c, size, i);
+        fused_rows::<2, O>(ops, size, i);
         i += 2;
     }
     if i < size {
-        fused_rows::<1>(data, a, b, c, size, i);
+        fused_rows::<1, O>(ops, size, i);
     }
 }
 
 /// Rows `i..i + R` of A in runs of [`LANES`] columns; a full run has a
 /// compile-time width, so its accumulators stay in registers.
 #[inline(always)]
-fn fused_rows<const R: usize>(
-    data: &mut [Weight],
-    a: View,
-    b: View,
-    c: View,
-    size: usize,
-    i: usize,
-) {
+fn fused_rows<const R: usize, O: Operands>(ops: &mut O, size: usize, i: usize) {
     let mut j0 = 0;
     while j0 + LANES <= size {
-        fused_run::<R>(data, a, b, c, size, i, j0, LANES);
+        fused_run::<R, O>(ops, size, i, j0, LANES);
         j0 += LANES;
     }
     if j0 < size {
-        fused_run::<R>(data, a, b, c, size, i, j0, size - j0);
+        fused_run::<R, O>(ops, size, i, j0, size - j0);
     }
 }
 
 /// Columns `j0..j0 + w` of rows `i..i + R` of A, relaxed through every
 /// `k` in registers.
-#[allow(clippy::too_many_arguments)] // three views, the size, and the run's corner and width
 #[inline(always)]
-fn fused_run<const R: usize>(
-    data: &mut [Weight],
-    a: View,
-    b: View,
-    c: View,
-    size: usize,
-    i: usize,
-    j0: usize,
-    w: usize,
-) {
+fn fused_run<const R: usize, O: Operands>(ops: &mut O, size: usize, i: usize, j0: usize, w: usize) {
     let mut acc = [[0; LANES]; R];
     for (r, row) in acc.iter_mut().enumerate() {
-        let start = a.at(i + r, j0);
-        row[..w].copy_from_slice(&data[start..start + w]);
+        row[..w].copy_from_slice(ops.a_run(i + r, j0, w));
     }
     for k in 0..size {
-        let start = c.at(k, j0);
-        let c_run = &data[start..start + w];
+        let c_run = ops.c_run(k, j0, w);
         for (r, row) in acc.iter_mut().enumerate() {
-            relax(&mut row[..w], c_run, data[b.at(i + r, k)]);
+            relax(&mut row[..w], c_run, ops.b_at(i + r, k));
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        let start = a.at(i + r, j0);
-        data[start..start + w].copy_from_slice(&row[..w]);
+        ops.a_run(i + r, j0, w).copy_from_slice(&row[..w]);
     }
 }
 
@@ -318,19 +404,17 @@ fn fused_run<const R: usize>(
 /// without a run-time overlap check, which it would hoist over all of A
 /// and so send every A = C call to scalar code.
 #[inline(always)]
-fn fwi_k_outer(data: &mut [Weight], a: View, b: View, c: View, size: usize) {
+fn fwi_k_outer<O: Operands>(ops: &mut O, size: usize) {
     for k in 0..size {
         let mut j0 = 0;
         while j0 < size {
             let w = LANES.min(size - j0);
             let mut c_run = [0; LANES];
-            let start = c.at(k, j0);
-            c_run[..w].copy_from_slice(&data[start..start + w]);
+            c_run[..w].copy_from_slice(ops.c_run(k, j0, w));
             for i in 0..size {
-                let bik = data[b.at(i, k)];
+                let bik = ops.b_at(i, k);
                 if bik != INF {
-                    let start = a.at(i, j0);
-                    relax(&mut data[start..start + w], &c_run[..w], bik);
+                    relax(ops.a_run(i, j0, w), &c_run[..w], bik);
                 }
             }
             j0 += w;
@@ -480,17 +564,48 @@ mod tests {
     }
 
     /// Run the AVX2 instance; `false` when this CPU cannot.
-    fn run_avx2(data: &mut [Weight], a: View, b: View, c: View, size: usize) -> bool {
+    fn run_avx2<O: Operands>(ops: O, size: usize) -> bool {
         #[cfg(target_arch = "x86_64")]
         {
             if avx2_detected() {
                 // SAFETY: `avx2_detected` has just reported that this CPU
                 // supports AVX2, the only requirement of the call.
-                unsafe { fwi_slice_avx2(data, a, b, c, size) };
+                unsafe { fwi_slice_avx2(ops, size) };
                 return true;
             }
         }
         false
+    }
+
+    /// The operands of [`fwi_tiles`] for a shape whose views are whole
+    /// tiles: `data` split into `size x size` tiles, A borrowed mutably,
+    /// B and C as the tiles apart from it or `None` where they are A.
+    /// `None` for shapes whose views are not whole tiles.
+    #[allow(clippy::type_complexity)] // the three operands of `fwi_tiles`
+    fn tiles_of(
+        data: &mut [Weight],
+        a: View,
+        b: View,
+        c: View,
+        size: usize,
+    ) -> Option<(&mut [Weight], Option<&[Weight]>, Option<&[Weight]>)> {
+        let len = size * size;
+        if [a, b, c].iter().any(|v| v.stride != size || v.offset % len != 0) {
+            return None;
+        }
+        let mut a_tile = None;
+        let mut apart = Vec::new();
+        for (t, tile) in data.chunks_exact_mut(len).enumerate() {
+            if t * len == a.offset {
+                a_tile = Some(tile);
+            } else {
+                apart.push((t * len, &*tile));
+            }
+        }
+        let operand = |v: View| {
+            (v != a).then(|| apart.iter().find(|t| t.0 == v.offset).expect("tile in storage").1)
+        };
+        Some((a_tile.expect("A tile in storage"), operand(b), operand(c)))
     }
 
     /// Storage length and `(A, B, C)` views for one aliasing shape of
@@ -533,6 +648,7 @@ mod tests {
     fn every_instance_matches_the_textbook_loop_bit_for_bit() {
         let mut avx2_ran = false;
         let mut cases = 0;
+        let mut tile_cases = 0;
         for (si, &size) in [1usize, 2, 7, 31, 32, 33, 64, 65].iter().enumerate() {
             for (hi, &name) in SHAPES.iter().enumerate() {
                 for rep in 0..4u64 {
@@ -557,10 +673,10 @@ mod tests {
                         );
                     };
                     let mut got = data.clone();
-                    fwi_slice_baseline(&mut got, a, b, c, size);
+                    fwi_slice_baseline(InSlice { data: &mut got, a, b, c }, size);
                     check(&got, "baseline instance");
                     let mut got = data.clone();
-                    if run_avx2(&mut got, a, b, c, size) {
+                    if run_avx2(InSlice { data: &mut got, a, b, c }, size) {
                         check(&got, "avx2 instance");
                         avx2_ran = true;
                     }
@@ -568,10 +684,39 @@ mod tests {
                     fwi(&mut got, a, b, c, size);
                     check(&got, "fwi");
                     cases += 1;
+                    // The same cells as borrowed tiles, where the views
+                    // are whole tiles.
+                    for instance in ["baseline instance on tiles", "avx2 instance on tiles", "fwi_tiles"] {
+                        let mut got = data.clone();
+                        let ran = match tiles_of(&mut got, a, b, c, size) {
+                            None => break,
+                            Some((ta, tb, tc)) => match instance {
+                                "baseline instance on tiles" => {
+                                    fwi_slice_baseline(InTiles { a: ta, b: tb, c: tc, size }, size);
+                                    true
+                                }
+                                "avx2 instance on tiles" => {
+                                    run_avx2(InTiles { a: ta, b: tb, c: tc, size }, size)
+                                }
+                                _ => {
+                                    fwi_tiles(ta, tb, tc, size);
+                                    true
+                                }
+                            },
+                        };
+                        if ran {
+                            check(&got, instance);
+                            tile_cases += 1;
+                        }
+                    }
                 }
             }
         }
         assert_eq!(cases, 8 * SHAPES.len() * 4);
+        // Five shapes are whole tiles: A=B=C, A=B,C, A=C,B, B=C,A and
+        // disjoint; the baseline instance and `fwi_tiles` always run.
+        let tile_instances = if avx2_ran { 3 } else { 2 };
+        assert_eq!(tile_cases, 8 * 5 * 4 * tile_instances);
         if !avx2_ran {
             eprintln!("fwi differential: this CPU lacks AVX2, so the avx2 instance was not run");
         }

@@ -13,7 +13,9 @@
 //!   reverse order of the first four, with a tunable base-case size at
 //!   which the FWI triple loop takes over;
 //! * [`parallel::fw_tiled_parallel`] — the parallelisation sketched in the
-//!   paper's conclusion, built on the tiled decomposition;
+//!   paper's conclusion, built on the tiled decomposition: each phase's
+//!   tiles are split into borrows and run on scoped threads through the
+//!   same slice kernel as the serial variants;
 //! * [`instrumented`] — the same algorithms replayed through the
 //!   `cachegraph-sim` hierarchy for miss-count experiments (Tables 1–3).
 //!
@@ -40,7 +42,6 @@
 //! ```
 
 mod auto;
-mod cancel;
 pub mod closure;
 pub mod closure_parallel;
 mod copy_tiled;
@@ -57,11 +58,10 @@ mod recursive;
 mod tiled;
 
 pub use auto::{solve_apsp, solve_apsp_with_cache, DEFAULT_L1_ASSOC, DEFAULT_L1_BYTES};
-pub use cancel::{fw_tiled_cancellable, run_tiled_cancellable, FwCancelled};
 pub use closure::{transitive_closure, transitive_closure_of, transitive_closure_tiled, BitMatrix};
 pub use closure_parallel::{
     close_band, closure_band_plan, propagate_row, transitive_closure_tiled_parallel,
-    transitive_closure_tiled_parallel_cancellable, ClosureBandPlan,
+    transitive_closure_tiled_parallel_cancellable, ClosureBandPlan, FwCancelled,
 };
 pub use copy_tiled::{fw_tiled_copy, fw_tiled_copy_with};
 pub use cachegraph_graph::{Weight, INF};

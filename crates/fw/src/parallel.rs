@@ -13,190 +13,157 @@
 //!    itself and its (now stable) row-`t` / column-`t` tiles.
 //!
 //! Tiles in phases 2 and 3 are written by exactly one task and read tiles
-//! written only in earlier phases, so tasks are data-race free. Work is
-//! distributed over `std::thread` scoped threads; the kernel runs over raw
-//! pointers because disjoint mutable tile views of one allocation cannot
-//! be expressed as safe slices.
+//! written only in earlier phases. The driver states that with borrows:
+//! once per phase it splits the matrix storage into its `b x b` tiles,
+//! gives each task its A tile as `&mut [Weight]` and the tiles it reads
+//! as `&[Weight]`, and runs the tasks on scoped threads. A plan in which
+//! two tasks of one phase share a tile that either writes cannot be
+//! split, so a phase race is a borrow error, not an `unsafe` argument.
 //!
 //! The task plan (which tile each task writes and reads, per phase) is
 //! built by [`crate::plan::Planner`] — pure data shared with the dynamic
 //! disjointness test below and with the `cachegraph-check` footprint
-//! oracle and schedule explorer, which machine-check the phase
-//! disjointness argument every `SAFETY:` comment here relies on.
+//! oracle and schedule explorer.
+//!
+//! One phase loop and one split serve three runs, which differ only in
+//! what a task runs and in the executor that runs a phase: the timed
+//! driver (the slice kernel under [`cachegraph_plan::run_tasks_mut`]),
+//! the hand-rolled dispatch baseline (the same kernel under a private
+//! spawn loop), and the simulated run
+//! [`sim_tiled_parallel_profiled`](crate::instrumented::sim_tiled_parallel_profiled)
+//! (the trait-default kernel traced on per-worker hierarchies).
 
-use cachegraph_graph::{Weight, INF};
+use cachegraph_graph::Weight;
+use cachegraph_layout::{BlockLayout, ZMorton};
 use cachegraph_obs::{Counter, Registry};
+use cachegraph_plan::{run_tasks_mut, worker_count};
 
-use crate::kernel::{StridedView, View};
+use crate::kernel::{fwi_tiles, StridedView, View};
 use crate::matrix::FwMatrix;
 use crate::plan::{Planner, TileTask};
 
-/// Shared storage handle for the scoped worker threads. Soundness
-/// argument: within each parallel phase, every task writes only its own A
-/// tile (disjoint per task) and reads tiles no task writes in that phase.
-#[derive(Clone, Copy)]
-struct SharedStorage {
-    ptr: *mut Weight,
-    len: usize,
+/// Layouts whose aligned `b x b` tiles are contiguous runs of `b * b`
+/// cells, each starting at a multiple of `b * b`, so that the storage
+/// splits into one borrow per tile: [`BlockLayout`] at its block size
+/// and [`ZMorton`] at its base size. The split checks every tile it
+/// hands out.
+pub trait ContiguousTiles: StridedView {}
+
+impl ContiguousTiles for BlockLayout {}
+
+impl ContiguousTiles for ZMorton {}
+
+/// The phases of one block iteration, in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// The diagonal tile.
+    Diagonal,
+    /// The rest of row `t` and column `t`.
+    RowCol,
+    /// Every remaining tile.
+    Rest,
 }
 
-// SAFETY: the handle is a plain pointer+len pair with no interior state;
-// all concurrent access goes through `read`/`write`, whose callers uphold
-// the phase-disjointness argument above (each A tile written by exactly
-// one task per phase, B/C tiles only read).
-unsafe impl Sync for SharedStorage {}
-// SAFETY: moving the handle to another thread transfers no aliasing
-// obligations; soundness rests on the per-phase task disjointness, not on
-// which thread holds the copy.
-unsafe impl Send for SharedStorage {}
+/// One task of a phase with its operands borrowed from the matrix
+/// storage: `task` says where its tiles sit, `a` is its A tile, and `b`
+/// and `c` are the tiles it reads, or `None` where that operand is A.
+pub(crate) struct TileBorrow<'m> {
+    pub task: TileTask,
+    pub a: &'m mut [Weight],
+    pub b: Option<&'m [Weight]>,
+    pub c: Option<&'m [Weight]>,
+}
 
-impl SharedStorage {
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Weight {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and no concurrent writer, per this method's
-        // contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// reading or writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn write(&self, idx: usize, v: Weight) {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and exclusive access to this cell, per this
-        // method's contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) = v }
+/// The phase loop of every parallel tiled run: for each block iteration
+/// `t`, each phase's tasks from the [`Planner`], split into borrows of
+/// `storage` and handed to `run` with `t` and the phase. `run` must
+/// finish every task before it returns; that return is the barrier.
+pub(crate) fn for_each_phase<L: ContiguousTiles>(
+    layout: &L,
+    n: usize,
+    b: usize,
+    storage: &mut [Weight],
+    mut run: impl FnMut(usize, Phase, &mut [TileBorrow<'_>]),
+) {
+    let planner = Planner::new(layout, n, b);
+    let mut plan = Vec::new();
+    for t in 0..planner.real_tiles() {
+        run(t, Phase::Diagonal, &mut split(storage, &[planner.phase1(t)], b));
+        planner.phase2(t, &mut plan);
+        run(t, Phase::RowCol, &mut split(storage, &plan, b));
+        planner.phase3(t, &mut plan);
+        run(t, Phase::Rest, &mut split(storage, &plan, b));
     }
 }
 
-/// FWI over raw storage — same operation order as the trait default
-/// [`crate::CellAccess::fwi_block`].
-///
-/// # Safety
-/// The A view must not be concurrently accessed by any other thread, the
-/// B/C views must not be concurrently written, and all three views must
-/// lie within `data`'s allocation.
-unsafe fn fwi_raw(data: SharedStorage, a: View, b: View, c: View, size: usize) {
-    // SAFETY: every access below targets a cell of A (exclusively owned by
-    // this task per the function contract) or reads a cell of B/C (stable
-    // during this phase per the contract); `View::at` stays within the
-    // caller-validated tile bounds, so indices are in range.
-    unsafe {
-        for k in 0..size {
-            for i in 0..size {
-                let bik = data.read(b.at(i, k));
-                if bik == INF {
-                    continue;
-                }
-                let c_row = c.at(k, 0);
-                let a_row = a.at(i, 0);
-                for j in 0..size {
-                    let via = bik.saturating_add(data.read(c_row + j));
-                    let idx = a_row + j;
-                    if via < data.read(idx) {
-                        data.write(idx, via);
-                    }
-                }
+/// A tile of the storage while one phase is split.
+enum Slot<'m> {
+    Free(&'m mut [Weight]),
+    Read(&'m [Weight]),
+    Written,
+}
+
+impl<'m> Slot<'m> {
+    /// The tile, shared among the tasks that read it.
+    fn read(&mut self) -> &'m [Weight] {
+        let tile: &'m [Weight] = match std::mem::replace(self, Slot::Written) {
+            Slot::Free(t) => t,
+            Slot::Read(t) => t,
+            Slot::Written => unreachable!("a phase reads a tile one of its tasks writes"),
+        };
+        *self = Slot::Read(tile);
+        tile
+    }
+
+    /// The tile, owned by the one task that writes it.
+    fn write(&mut self) -> &'m mut [Weight] {
+        match std::mem::replace(self, Slot::Written) {
+            Slot::Free(t) => t,
+            Slot::Read(_) | Slot::Written => {
+                unreachable!("a phase writes a tile twice, or a tile one of its tasks reads")
             }
         }
     }
 }
 
-/// Run `tasks` across `threads` scoped workers via the shared
-/// [`cachegraph_plan::run_tasks`] executor — the same chunking the
-/// `cachegraph-check` explorer models. Each finished task bumps
-/// `kernel_calls` — a `cachegraph-obs` counter shared across the scoped
-/// threads (a disabled handle reduces to a branch per task).
-fn run_parallel(data: SharedStorage, tasks: &[TileTask], b: usize, threads: usize, kernel_calls: &Counter) {
-    cachegraph_plan::run_tasks(tasks, threads, |t| {
-        // SAFETY: each task's A tile is written by exactly one task in
-        // this phase; B/C tiles are only read and are not any task's A
-        // tile in this phase (proven by the footprint oracle); with one
-        // worker the executor runs tasks inline, single-threaded.
-        unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-        kernel_calls.incr();
-    });
+/// Split `storage` into the borrows the tasks of one phase need: every
+/// tile that some task reads is shared first, then each task takes its
+/// A tile. The planner's phases write each tile at most once and never
+/// a tile they read (the footprint oracle proves it over its sweep); a
+/// plan that broke that cannot be split and stops here.
+fn split<'m>(storage: &'m mut [Weight], tasks: &[TileTask], b: usize) -> Vec<TileBorrow<'m>> {
+    let len = b * b;
+    let tile = |v: View| {
+        assert!(v.stride == b && v.offset.is_multiple_of(len), "tiles must be contiguous {b} x {b} runs");
+        v.offset / len
+    };
+    let mut slots: Vec<Slot<'m>> = storage.chunks_exact_mut(len).map(Slot::Free).collect();
+    for task in tasks {
+        for v in [task.b, task.c] {
+            if v != task.a {
+                slots[tile(v)].read();
+            }
+        }
+    }
+    let mut borrows = Vec::with_capacity(tasks.len());
+    for &task in tasks {
+        let a = slots[tile(task.a)].write();
+        let b = (task.b != task.a).then(|| slots[tile(task.b)].read());
+        let c = (task.c != task.a).then(|| slots[tile(task.c)].read());
+        borrows.push(TileBorrow { task, a, b, c });
+    }
+    borrows
 }
 
-/// The pre-runtime PR 5 phase loop, kept verbatim as the baseline the
-/// `obs_overhead` TaskGraph-dispatch budget compares against. Not part
-/// of the public API surface.
-#[doc(hidden)]
-fn run_parallel_handrolled(
-    data: SharedStorage,
-    tasks: &[TileTask],
-    b: usize,
-    threads: usize,
-    kernel_calls: &Counter,
-) {
-    if tasks.is_empty() {
-        return;
-    }
-    let threads = threads.min(tasks.len()).max(1);
-    if threads == 1 {
-        for t in tasks {
-            // SAFETY: single-threaded here; views disjoint per task by
-            // construction of the tiled decomposition.
-            unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-            kernel_calls.incr();
-        }
-        return;
-    }
-    let chunk = tasks.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for slice in tasks.chunks(chunk) {
-            let kernel_calls = kernel_calls.clone();
-            s.spawn(move || {
-                for t in slice {
-                    // SAFETY: each task's A tile is written by exactly one
-                    // task in this phase; B/C tiles are only read and are
-                    // not any task's A tile in this phase.
-                    unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-                    kernel_calls.incr();
-                }
-            });
-        }
-    });
-}
-
-/// [`fw_tiled_parallel`] driven by the hand-rolled PR 5 loop instead of
-/// the shared TaskGraph executor. Exists solely so the dispatch-overhead
-/// benchmark has a baseline; results are identical.
-#[doc(hidden)]
-pub fn fw_tiled_parallel_handrolled<L: StridedView>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
-    let registry = Registry::disabled();
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let n = m.n();
-    assert!(threads >= 1, "need at least one thread");
-    let layout = m.layout().clone();
-    let planner = Planner::new(&layout, n, b);
-    let storage = m.storage_mut();
-    let data = SharedStorage { ptr: storage.as_mut_ptr(), len: storage.len() };
-
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        let diag = planner.phase1(t);
-        // SAFETY: no other thread is running.
-        unsafe { fwi_raw(data, diag.a, diag.b, diag.c, b) };
-        kernel_calls.incr();
-
-        planner.phase2(t, &mut phase2);
-        run_parallel_handrolled(data, &phase2, b, threads, &kernel_calls);
-
-        planner.phase3(t, &mut phase3);
-        run_parallel_handrolled(data, &phase3, b, threads, &kernel_calls);
-    }
+/// A task of the timed runs: the slice kernel on its tiles.
+fn run_kernel(task: &mut TileBorrow<'_>, b: usize, kernel_calls: &Counter) {
+    fwi_tiles(task.a, task.b, task.c, b);
+    kernel_calls.incr();
 }
 
 /// Parallel tiled Floyd-Warshall with tile size `b` on `threads` threads.
 /// Produces the same result as [`crate::fw_tiled`].
-pub fn fw_tiled_parallel<L: StridedView>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
+pub fn fw_tiled_parallel<L: ContiguousTiles>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
     fw_tiled_parallel_observed(m, b, threads, &Registry::disabled());
 }
 
@@ -205,45 +172,69 @@ pub fn fw_tiled_parallel<L: StridedView>(m: &mut FwMatrix<L>, b: usize, threads:
 /// `fw.kernel_calls` counter shared across the scoped worker threads.
 /// With a disabled registry every instrumentation point is a branch, so
 /// this *is* the implementation behind [`fw_tiled_parallel`].
-pub fn fw_tiled_parallel_observed<L: StridedView>(
+pub fn fw_tiled_parallel_observed<L: ContiguousTiles>(
     m: &mut FwMatrix<L>,
     b: usize,
     threads: usize,
     registry: &Registry,
 ) {
+    assert!(threads >= 1, "need at least one thread");
     let root = registry.span("fw.parallel");
     let kernel_calls = registry.counter("fw.kernel_calls");
-    let n = m.n();
-    assert!(threads >= 1, "need at least one thread");
     let layout = m.layout().clone();
-    // The planner re-checks the tiling preconditions (padded dimension a
-    // multiple of b, layout exposes aligned bxb tiles).
-    let planner = Planner::new(&layout, n, b);
-    let storage = m.storage_mut();
-    let data = SharedStorage { ptr: storage.as_mut_ptr(), len: storage.len() };
+    let n = m.n();
+    let mut block = None;
+    for_each_phase(&layout, n, b, m.storage_mut(), |t, phase, tasks| {
+        if phase == Phase::Diagonal {
+            // Close block `t - 1`'s span before opening block `t`'s.
+            drop(block.take());
+            block = registry.is_enabled().then(|| root.child(&format!("block[{t}]")));
+        }
+        run_tasks_mut(tasks, threads, |_, task| run_kernel(task, b, &kernel_calls));
+    });
+}
 
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        let _block = registry.is_enabled().then(|| root.child(&format!("block[{t}]")));
-        let diag = planner.phase1(t);
-        // Phase 1: sequential diagonal tile.
-        // SAFETY: no other thread is running.
-        unsafe { fwi_raw(data, diag.a, diag.b, diag.c, b) };
-        kernel_calls.incr();
-
-        planner.phase2(t, &mut phase2);
-        run_parallel(data, &phase2, b, threads, &kernel_calls);
-
-        planner.phase3(t, &mut phase3);
-        run_parallel(data, &phase3, b, threads, &kernel_calls);
-    }
+/// [`fw_tiled_parallel`] with each phase run by a hand-rolled spawn loop
+/// instead of [`cachegraph_plan::run_tasks_mut`]: the same phase loop,
+/// split, kernel and chunking, so the `obs_overhead` dispatch budget
+/// compares the two executors on identical work. Results are identical.
+/// Not part of the public API surface.
+#[doc(hidden)]
+pub fn fw_tiled_parallel_handrolled<L: ContiguousTiles>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
+    assert!(threads >= 1, "need at least one thread");
+    let kernel_calls = Registry::disabled().counter("fw.kernel_calls");
+    let layout = m.layout().clone();
+    let n = m.n();
+    for_each_phase(&layout, n, b, m.storage_mut(), |_, _, tasks| {
+        if tasks.is_empty() {
+            return;
+        }
+        let workers = worker_count(tasks.len(), threads);
+        if workers == 1 {
+            for task in tasks {
+                run_kernel(task, b, &kernel_calls);
+            }
+            return;
+        }
+        let chunk = tasks.len().div_ceil(workers);
+        std::thread::scope(|s| {
+            for slice in tasks.chunks_mut(chunk) {
+                let kernel_calls = kernel_calls.clone();
+                s.spawn(move || {
+                    for task in slice {
+                        run_kernel(task, b, &kernel_calls);
+                    }
+                });
+            }
+        });
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fw_iterative_slice;
+    use cachegraph_graph::INF;
     use cachegraph_layout::BlockLayout;
     use cachegraph_rng::StdRng;
 
@@ -367,6 +358,22 @@ mod tests {
         let mut expect = costs.clone();
         fw_iterative_slice(&mut expect, n);
         assert_eq!(m.to_row_major(), expect);
+    }
+
+    /// Merging phases 2 and 3 of one block iteration is a race: phase 3
+    /// reads the row and column tiles phase 2 writes. Such a plan cannot
+    /// be split into borrows.
+    #[test]
+    #[should_panic(expected = "a phase writes a tile twice, or a tile one of its tasks reads")]
+    fn a_merged_phase_cannot_be_split() {
+        let layout = BlockLayout::new(12, 4);
+        let planner = Planner::new(&layout, 12, 4);
+        let (mut merged, mut phase3) = (Vec::new(), Vec::new());
+        planner.phase2(0, &mut merged);
+        planner.phase3(0, &mut phase3);
+        merged.extend(phase3);
+        let mut storage = vec![0; 12 * 12];
+        split(&mut storage, &merged, 4);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! explicit flat cell ranges — so the parallel driver
 //! ([`crate::parallel`]), the dynamic disjointness test, and the
 //! `cachegraph-check` model checker all consume the *same* task
-//! construction and cannot drift apart. The driver's `SAFETY:` arguments
-//! are claims about exactly these footprints: within a phase, write
-//! footprints are pairwise disjoint and no task reads another task's
-//! write footprint.
+//! construction and cannot drift apart. The driver splits the storage
+//! into tile borrows by exactly these tasks, which works because within
+//! a phase write footprints are pairwise disjoint and no task reads
+//! another task's write footprint.
 
 use std::ops::Range;
 

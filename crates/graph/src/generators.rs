@@ -61,7 +61,8 @@ fn rand_weight(rng: &mut StdRng, max_weight: Weight) -> Weight {
 pub fn random_directed(n: usize, density: f64, max_weight: Weight, seed: u64) -> EdgeListBuilder {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = EdgeListBuilder::new(n);
-    let span = (n - 1) as u64;
+    // Targets per source; an empty graph has no pairs to sample.
+    let span = n.saturating_sub(1) as u64;
     sample_indices((n as u64) * span, density, &mut rng, |rng, idx| {
         let u = (idx / span) as VertexId;
         let mut v = (idx % span) as VertexId;
@@ -79,7 +80,7 @@ pub fn random_directed(n: usize, density: f64, max_weight: Weight, seed: u64) ->
 pub fn random_undirected(n: usize, density: f64, max_weight: Weight, seed: u64) -> EdgeListBuilder {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = EdgeListBuilder::new(n);
-    let space = (n as u64) * (n as u64 - 1) / 2;
+    let space = (n as u64) * (n as u64).saturating_sub(1) / 2;
     sample_indices(space, density, &mut rng, |rng, idx| {
         let (u, v) = unrank_pair(idx, n as u64);
         let w = rand_weight(rng, max_weight);
@@ -386,7 +387,12 @@ mod tests {
 
     #[test]
     fn density_zero_and_one() {
-        assert_eq!(random_directed(10, 0.0, 5, 1).edges().len(), 0);
-        assert_eq!(random_directed(10, 1.0, 5, 1).edges().len(), 90);
+        // n = 0 and n = 1 have no pairs: empty graphs, in every build.
+        for (n, pairs) in [(0, 0), (1, 0), (10, 90)] {
+            assert_eq!(random_directed(n, 0.0, 5, 1).edges().len(), 0, "n={n}");
+            assert_eq!(random_directed(n, 1.0, 5, 1).edges().len(), pairs, "n={n}");
+            assert_eq!(random_undirected(n, 1.0, 5, 1).edges().len(), pairs, "n={n}");
+            assert_eq!(random_directed(n, 1.0, 5, 1).num_vertices(), n, "n={n}");
+        }
     }
 }

@@ -1,10 +1,10 @@
-//! The `TaskGraph` runtime: the PR 5 model-checking shape, generalized.
+//! The `TaskGraph` runtime: the parallel-FW model-checking shape,
+//! generalized.
 //!
 //! `fw::parallel` established a discipline the rest of the repo now
 //! reuses: a *pure planner* emits phases of tasks, each task declares a
 //! read and a write *footprint*, and three independent machines check the
-//! same disjointness argument the driver's `SAFETY:` comments (or safe
-//! split-borrow structure) rely on:
+//! same disjointness argument every driver's split borrows rely on:
 //!
 //! 1. [`footprint`] — set arithmetic over the declared footprints: within
 //!    one phase, write sets are pairwise disjoint and no read set meets

@@ -11,12 +11,13 @@
 //! Two entry points cover the drivers' borrow shapes:
 //!
 //! * [`run_tasks`] — workers share `&[T]` and a `Fn(&T)` body; state is
-//!   reached through the body's captures (tiled FW's raw-pointer
-//!   [`SharedStorage`]-style handle).
+//!   reached through the body's captures. No driver uses it; perfbench
+//!   times empty phases through it (`plan.dispatch_us`).
 //! * [`run_tasks_mut`] — each task *owns* its payload (`&mut T`), which
 //!   carries disjoint mutable borrows carved out beforehand
-//!   (`split_at_mut`, per-task output vectors); the body never needs
-//!   `unsafe`. Delta-stepping, matching, and the closure driver use this.
+//!   (`split_at_mut`, `chunks_exact_mut`, per-task output vectors); the
+//!   body never needs `unsafe`. Tiled FW, delta-stepping, matching, and
+//!   the closure driver use this.
 //!
 //! With one worker both entry points degenerate to an inline loop on the
 //! calling thread — no spawn, and bit-identical to the parallel path by

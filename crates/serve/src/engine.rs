@@ -38,9 +38,7 @@
 //! propagated down as a `Fn() -> bool + Sync` hook that parallel
 //! drivers poll from every worker.
 
-use cachegraph_fw::{
-    fw_tiled_cancellable, transitive_closure_tiled_parallel, BitMatrix, FwMatrix,
-};
+use cachegraph_fw::{fw_tiled, transitive_closure_tiled_parallel, BitMatrix, FwMatrix};
 use cachegraph_graph::{generators, AdjacencyArray, EdgeListBuilder, VertexId, Weight, INF};
 use cachegraph_layout::BlockLayout;
 use cachegraph_matching::{
@@ -179,8 +177,8 @@ pub struct QueryEngine {
 
 impl QueryEngine {
     /// Build the engine: generate the graph, then precompute either the
-    /// APSP table (tiled FW, cancellable with a never-firing closure —
-    /// startup has no deadline) or the reverse graph, and stream the
+    /// APSP table (tiled FW; startup has no deadline, so nothing polls)
+    /// or the reverse graph, and stream the
     /// `match` companion. Expects a positive, even `n` and a `density`
     /// in `[0, 1]`, and may panic otherwise; [`start`](crate::start)
     /// rejects other configs with a typed error before building.
@@ -226,9 +224,7 @@ impl QueryEngine {
             *cell = (*cell).min(e.weight);
         }
         let mut m = FwMatrix::from_costs(BlockLayout::new(n, cfg.tile), &costs);
-        fw_tiled_cancellable(&mut m, cfg.tile, &mut || false)
-            // tidy: allow(panic-policy) -- a never-firing closure cannot cancel
-            .expect("uncancellable precompute cannot be cancelled");
+        fw_tiled(&mut m, cfg.tile);
         m.to_row_major()
     }
 

@@ -2,10 +2,10 @@
 //! be justified by a `// SAFETY:` comment (or a `/// # Safety` doc
 //! section) on the same line or in the comment block directly above it.
 //!
-//! The justification discipline is what makes the hand-decomposed
-//! parallel Floyd-Warshall auditable: each raw-pointer access states the
-//! disjointness argument it relies on, and this rule keeps future edits
-//! honest.
+//! The justification discipline keeps every `unsafe` site auditable: it
+//! states the one precondition it relies on next to the code (today the
+//! FW kernel's AVX2 dispatch, whose precondition is the run-time CPU
+//! feature check), and this rule keeps future edits honest.
 
 use crate::{Diagnostic, SourceFile};
 

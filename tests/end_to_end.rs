@@ -2,7 +2,9 @@
 //! other across crates, representations, layouts, and the instrumented
 //! (cache-simulated) code paths.
 
-use cachegraph::fw::instrumented::{sim_iterative, sim_recursive_morton, sim_tiled_bdl};
+use cachegraph::fw::instrumented::{
+    sim_iterative, sim_recursive_morton, sim_tiled_bdl, sim_tiled_parallel_profiled,
+};
 use cachegraph::fw::{
     fw_iterative_slice, fw_recursive, fw_tiled, parallel::fw_tiled_parallel, FwMatrix,
 };
@@ -13,11 +15,12 @@ use cachegraph::matching::{
     verify, Matching, PartitionScheme,
 };
 use cachegraph::pq::{FibonacciHeap, PairingHeap};
-use cachegraph::sim::profiles;
+use cachegraph::sim::{profiles, ProfilerOptions};
 use cachegraph::sssp::instrumented::{sim_dijkstra_adj_array, sim_prim_adj_list};
 use cachegraph::sssp::{
     apsp_dijkstra, bellman_ford, dijkstra, dijkstra_binary_heap, kruskal, prim_binary_heap,
 };
+use cachegraph_obs::Registry;
 
 /// Floyd-Warshall (all variants and layouts) and Dijkstra-APSP must
 /// compute the same all-pairs distances on the same graph.
@@ -69,8 +72,10 @@ fn simulated_runs_are_faithful() {
 /// The simulated FW runs replay the paper's cell-by-cell order through
 /// the trait-default kernel, whatever the timed slice kernel does. Their
 /// counts are pinned to the values of the version before the slice
-/// kernel was vectorised, so a drift in that order fails here, not only
-/// in a traced benchmark run. Per level: (accesses, misses, writebacks).
+/// kernel was vectorised, and the parallel simulation's to those of the
+/// version before it ran on borrowed tiles, so a drift in that order or
+/// in the parallel phase loop fails here, not only in a traced benchmark
+/// run. Per level: (accesses, misses, writebacks).
 #[test]
 fn simulated_fw_counts_are_pinned() {
     let n = 96;
@@ -97,6 +102,45 @@ fn simulated_fw_counts_are_pinned() {
             run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
         assert_eq!(got, levels, "{name}: per-level (accesses, misses, writebacks)");
         assert_eq!(run.stats.memory_lines_fetched, memory_lines, "{name}: memory lines");
+    }
+    // The parallel simulation: private per-worker hierarchies, merged.
+    // Pinned per level, and per span as the self L1 accesses of the
+    // sequential `diag` phase and of each `thread[w]`.
+    let parallel = [
+        (1, [(1_929_303, 13_863, 10_338), (24_201, 1_152, 0)], vec![13_016, 1_916_287]),
+        (2, [(1_929_303, 13_280, 9_293), (22_573, 2_304, 0)], vec![13_016, 965_017, 951_270]),
+        (
+            4,
+            [(1_929_303, 5_717, 1_793), (7_510, 4_608, 0)],
+            vec![13_016, 494_699, 496_824, 495_577, 429_187],
+        ),
+    ];
+    for (threads, levels, span_accesses) in parallel {
+        let run = sim_tiled_parallel_profiled(
+            &costs,
+            n,
+            8,
+            threads,
+            profiles::simplescalar(),
+            ProfilerOptions::exact(),
+            &Registry::disabled(),
+        );
+        assert_eq!(run.dist, expect, "threads={threads}: distances");
+        let got: Vec<(u64, u64, u64)> =
+            run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
+        assert_eq!(got, levels, "threads={threads}: per-level (accesses, misses, writebacks)");
+        let want: Vec<(String, u64)> = std::iter::once("fw.tiled.parallel/diag".to_string())
+            .chain((0..threads).map(|w| format!("fw.tiled.parallel/thread[{w}]")))
+            .zip(span_accesses)
+            .collect();
+        let spans: Vec<(String, u64)> = run
+            .profile
+            .spans
+            .iter()
+            .filter(|s| s.path != "fw.tiled.parallel")
+            .map(|s| (s.path.clone(), s.self_stats.levels[0].accesses))
+            .collect();
+        assert_eq!(spans, want, "threads={threads}: self L1 accesses per span");
     }
 }
 
