@@ -33,15 +33,18 @@ cargo run -q --release -p cachegraph-analyze -- --sweep \
   | tee target/ci-metrics/analyze.txt
 
 echo "==> cachegraph-check (model-check all TaskGraph drivers)"
-# Extended check matrix: footprint oracle sweep + bounded schedule
-# exploration for fw::parallel AND the three TaskGraph drivers
-# (delta-stepping sssp, partitioned matching, tiled boolean closure),
+# FW footprint oracle sweep, then oracle + script replay on the shared
+# engine for all four TaskGraph drivers (parallel tiled FW,
+# delta-stepping sssp, partitioned matching, tiled boolean closure),
 # then barrier-omission mutation sensitivity per driver — every seeded
 # mutation must be DETECTED. Failures print the schedule and replay seed.
 cargo run -q --release -p cachegraph-check
 
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> docs (deny warnings: broken intra-doc links, private links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --keep-going
 
 echo "==> obs overhead gate (enabled-path budgets, release, median block ratio)"
 # Profiled simulation vs the classifying no-profiler baseline on the FW

@@ -15,16 +15,16 @@
 //! over-approximates (both `if` branches, no guard pruning), this
 //! subset proves every real execution conforms. The inferred footprints
 //! are then fed through the oracle's own set arithmetic
-//! ([`cachegraph_check::check_phase_footprints`]), re-proving the
-//! driver's disjointness claims with the plan's declarations out of the
-//! trusted base entirely.
+//! ([`cachegraph_plan::phase_overlaps`]), re-proving the driver's
+//! disjointness claims with the plan's declarations out of the trusted
+//! base entirely.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use cachegraph_check::check_phase_footprints;
 use cachegraph_fw::plan::{Planner, TileTask};
 use cachegraph_layout::BlockLayout;
+use cachegraph_plan::phase_overlaps;
 
 use crate::footprint::{summarize_fn, FnSummary};
 use crate::parse::parse_file;
@@ -229,16 +229,18 @@ pub fn check_kernel_conformance(summary: &FnSummary, n: usize, b: usize) -> Conf
                 .map(|(i, task)| check_task(summary, task, n, b, t, phase, i, &mut errors))
                 .collect();
             tasks_checked += inferred.len();
-            let mut viols = Vec::new();
-            check_phase_footprints(n, b, t, phase, &inferred, &mut viols);
-            for v in viols {
+            for o in phase_overlaps(&inferred) {
                 errors.push(ConformanceError {
                     n,
                     b,
                     t,
                     phase,
-                    task: Some(v.writer),
-                    detail: format!("inferred footprints break disjointness: {v}"),
+                    task: Some(o.writer),
+                    detail: format!(
+                        "inferred footprints break disjointness: {} overlap between tasks {} \
+                         and {} at cell {}",
+                        o.kind, o.writer, o.other, o.unit
+                    ),
                 });
             }
         }

@@ -4,10 +4,10 @@
 //!
 //! The workspace already machine-checks the parallel driver's
 //! disjointness claims twice: dynamically (`cachegraph-fw`'s recording
-//! test) and against the *declared* plan footprints (`cachegraph-check`
-//! oracle). This crate closes the remaining gap — that the kernel
-//! *source* matches the declared footprints — without executing the
-//! kernel:
+//! test) and against the *declared* plan footprints (the
+//! `cachegraph-check` oracle over `TaskGraph::check_disjoint`). This
+//! crate closes the remaining gap — that the kernel *source* matches
+//! the declared footprints — without executing the kernel:
 //!
 //! * [`parse`] — a recursive-descent parser over the shared tokenizer
 //!   ([`cachegraph_lex::token`]) for the Rust subset kernel files use,
@@ -23,12 +23,12 @@
 //! * [`conform`] — instantiates the inferred accesses over the concrete
 //!   task plans of [`cachegraph_fw::plan::Planner`] across an `(n, b)`
 //!   sweep and proves inferred ⊆ declared per task, then feeds the
-//!   inferred footprints through `cachegraph-check`'s set arithmetic
-//!   ([`cachegraph_check::check_phase_footprints`]) to re-prove phase
+//!   inferred footprints through the oracle's set arithmetic
+//!   ([`cachegraph_plan::phase_overlaps`]) to re-prove phase
 //!   disjointness purely statically.
-//! * [`rules`] — AST-backed re-implementations of the `kernel-bounds`
-//!   and `obs-purity` tidy rules (the token-level rules stay as
-//!   fallback for files outside the parsed subset).
+//! * [`rules`] — the `kernel-bounds` and `obs-purity` lint rules over
+//!   the AST of every kernel-marked file ([`rules::lint_kernel_files`],
+//!   shared with the root tier-1 test `tests/tidy.rs`).
 //!
 //! The driver binary (`cargo run -p cachegraph-analyze`) runs the full
 //! pass including a seeded-mutation sensitivity check; see `src/main.rs`.

@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 
 use cachegraph_analyze::conform::{check_kernel_conformance, sweep_kernel_conformance};
-use cachegraph_analyze::{parse_file, rules, summarize_kernel_source};
+use cachegraph_analyze::{rules, summarize_kernel_source};
 use cachegraph_tidy::{find_workspace_root, walk};
 
 /// Full-sweep ceiling (`--sweep`), matching `cachegraph-check`.
@@ -82,13 +82,10 @@ fn main() -> ExitCode {
 
     // 1 + 2. Golden parse and AST rules over every kernel-marked file.
     let mut kernels = Vec::new();
-    let mut marked = 0usize;
-    for sf in &sources {
-        if !rules::is_kernel_marked(sf) {
-            continue;
-        }
-        marked += 1;
-        let file = match parse_file(&sf.raw) {
+    let marked = rules::lint_kernel_files(&sources);
+    for kf in &marked {
+        let sf = kf.source;
+        let file = match &kf.parsed {
             Ok(f) => f,
             Err(e) => {
                 failed = true;
@@ -97,9 +94,7 @@ fn main() -> ExitCode {
             }
         };
         println!("parse: {}: ok ({} fns)", sf.rel_path.display(), file.functions().len());
-        let mut diags = rules::kernel_bounds(sf, &file);
-        diags.extend(rules::obs_purity(sf, &file));
-        for d in &diags {
+        for d in &kf.diags {
             failed = true;
             println!("rule: {d}");
         }
@@ -107,7 +102,7 @@ fn main() -> ExitCode {
             kernels.push((sf.rel_path.clone(), summary));
         }
     }
-    if marked == 0 {
+    if marked.is_empty() {
         failed = true;
         println!("parse: no kernel-marked files found under {}", root.display());
     }

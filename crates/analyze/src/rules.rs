@@ -1,29 +1,65 @@
-//! AST-backed re-implementations of the kernel-file tidy rules.
+//! The kernel-file lint rules, judged over the parsed AST.
 //!
-//! `cachegraph-tidy` checks `kernel-bounds` and `obs-purity` with
-//! token-level heuristics over the masked source. For files inside the
-//! parsed subset this module re-states the same rules over the real
-//! AST, which removes the heuristics' blind spots (string-ish matching
-//! of loop headers, per-line subscript scanning) and makes the
-//! judgement structural: an index expression either *is* simple
-//! additive arithmetic over a range counter or it is not.
+//! Files opted in with a `// tidy: kernel` marker get two rules beyond
+//! tidy's token-level ones:
 //!
-//! The token rules stay in tidy as the fallback for files the parser
-//! does not cover (no kernel-marked file is outside the subset today —
-//! the golden-parse test keeps it that way) and for constructs the AST
-//! consumes without structure (`const` initializers, macro bodies).
-//! Both passes run in CI; they must agree on the shared fixtures, which
-//! the `rules_agree_with_tidy` integration test enforces.
+//! * `kernel-bounds` — no slice subscript whose index is simple
+//!   additive arithmetic over a `for ... in <range>` counter, where an
+//!   `iter().zip()` chain would elide the bounds check structurally.
+//!   Method-call indices (`data[b.at(i, k)]`) and range subscripts
+//!   address views and sub-slices, which the rule cannot judge.
+//! * `obs-purity` — no reference to the observability layer
+//!   (`cachegraph_obs`); instrumentation belongs in the drivers, which
+//!   observe kernels from the outside through tile-granular hooks.
+//!
+//! Over the AST the judgement is structural: an index expression either
+//! *is* simple additive arithmetic over a range counter or it is not.
+//! Every kernel-marked file is inside the parsed subset — the
+//! golden-parse test keeps it that way — and [`lint_kernel_files`] is
+//! the one entry point the `cachegraph-analyze` binary and the root
+//! tier-1 test `tests/tidy.rs` share. Waivers use tidy's syntax:
+//! `// tidy: allow(<rule>) -- reason`.
 
 use cachegraph_tidy::config::KERNEL_MARKER;
 use cachegraph_tidy::{Diagnostic, SourceFile};
 
 use crate::ast::{BinOp, Block, Expr, ExprKind, File, Pat, Stmt};
+use crate::parse::{parse_file, ParseError};
 
-/// Rule id shared with the tidy token rule.
+/// Rule id of the bounds-check rule.
 pub const KERNEL_BOUNDS: &str = "kernel-bounds";
-/// Rule id shared with the tidy token rule.
+/// Rule id of the observability-purity rule.
 pub const OBS_PURITY: &str = "obs-purity";
+
+/// One kernel-marked file after the golden parse and the AST rules.
+pub struct KernelFile<'s> {
+    /// The source file.
+    pub source: &'s SourceFile,
+    /// The parsed file, or the error naming the construct outside the
+    /// subset grammar.
+    pub parsed: Result<File, ParseError>,
+    /// `kernel-bounds` and `obs-purity` diagnostics (none when the
+    /// parse failed).
+    pub diags: Vec<Diagnostic>,
+}
+
+/// Parse every kernel-marked file in `sources` and run both AST rules
+/// on it.
+pub fn lint_kernel_files(sources: &[SourceFile]) -> Vec<KernelFile<'_>> {
+    sources
+        .iter()
+        .filter(|sf| is_kernel_marked(sf))
+        .map(|sf| {
+            let parsed = parse_file(&sf.raw);
+            let mut diags = Vec::new();
+            if let Ok(file) = &parsed {
+                diags.extend(kernel_bounds(sf, file));
+                diags.extend(obs_purity(sf, file));
+            }
+            KernelFile { source: sf, parsed, diags }
+        })
+        .collect()
+}
 
 /// Does the file opt in to the kernel rules (`// tidy: kernel`)?
 pub fn is_kernel_marked(sf: &SourceFile) -> bool {
@@ -143,7 +179,7 @@ fn walk_block(
 }
 
 /// Flag every offending `Index` inside `e` (at most one diagnostic per
-/// source line, matching the token rule). Recurses manually rather than
+/// source line). Recurses manually rather than
 /// via [`Expr::walk`] so nested blocks — which may open or shadow range
 /// loops of their own — thread the counter scope correctly.
 fn check_expr(

@@ -111,7 +111,7 @@ pub fn table3(scale: Scale) -> Table {
     table3_assemble(fw_sweep_sizes(scale).into_iter().map(table3_cell).collect())
 }
 
-/// Table 2: tiled row-wise (L1-sized tile, per [43]) vs tiled BDL
+/// Table 2: tiled row-wise (L1-sized tile, per \[43\]) vs tiled BDL
 /// (larger tile): simulated miss rates plus real execution time.
 pub fn table2(scale: Scale) -> Table {
     let n = scale.pick(512, 2048);
@@ -356,7 +356,7 @@ pub fn basecase(scale: Scale) -> Table {
 
 /// §3.1.2.2 ablation: tile-size sweep for the tiled BDL implementation —
 /// the ATLAS-style experimental search the paper recommends, showing the
-/// L2-sized optimum beyond the L1-only choice of [43].
+/// L2-sized optimum beyond the L1-only choice of \[43\].
 pub fn tilesweep(scale: Scale) -> Table {
     let n = scale.pick(512, 2048);
     let mut t = Table::new(

@@ -28,6 +28,8 @@
 //! resume smoke: it forces a synthetic panic, a deadline overrun, or a
 //! mid-write process kill at a named experiment, proving every
 //! degradation path ends in a recorded outcome and a resumable journal.
+//! It is the serve daemon's plan, with the same
+//! `panic:ID,hang:ID,kill:ID` grammar; here the ids name experiments.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -38,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use cachegraph_obs::journal::{read_journal, JournalWriter};
 use cachegraph_obs::{Json, SCHEMA_VERSION};
+pub use cachegraph_serve::{Fault, FaultPlan};
 
 /// How one supervised experiment ended.
 #[derive(Clone, Debug, PartialEq)]
@@ -148,61 +151,6 @@ impl ExperimentOutcome {
             _ => return None,
         };
         Some((id, outcome))
-    }
-}
-
-/// A synthetic fault the plan can force at a named experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    /// Panic inside the unit (exercises `catch_unwind`).
-    Panic,
-    /// Sleep far past any deadline (exercises the watchdog; requires a
-    /// `--timeout-secs` to ever return).
-    Hang,
-    /// Write a torn journal line and kill the process (exercises resume
-    /// and torn-tail recovery).
-    Kill,
-}
-
-/// Which experiments to sabotage, and how. Parsed from
-/// `--fault-plan panic:ID,hang:ID,kill:ID`.
-#[derive(Clone, Debug, Default)]
-pub struct FaultPlan {
-    faults: BTreeMap<String, Fault>,
-}
-
-impl FaultPlan {
-    /// An empty plan (no faults).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// Parse a `kind:id[,kind:id...]` spec.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = Self::default();
-        for part in spec.split(',').filter(|p| !p.is_empty()) {
-            let Some((kind, id)) = part.split_once(':') else {
-                return Err(format!("fault '{part}' is not kind:id"));
-            };
-            let fault = match kind {
-                "panic" => Fault::Panic,
-                "hang" => Fault::Hang,
-                "kill" => Fault::Kill,
-                other => return Err(format!("unknown fault kind '{other}' (panic|hang|kill)")),
-            };
-            plan.faults.insert(id.to_string(), fault);
-        }
-        Ok(plan)
-    }
-
-    /// Add one fault.
-    pub fn insert(&mut self, id: &str, fault: Fault) {
-        self.faults.insert(id.to_string(), fault);
-    }
-
-    /// The fault planned for `id`, if any.
-    pub fn fault_for(&self, id: &str) -> Option<Fault> {
-        self.faults.get(id).copied()
     }
 }
 
@@ -471,7 +419,7 @@ pub fn run_supervised(
         } else if let Some(restored) = checkpoints.get(&id) {
             restored.clone()
         } else {
-            match config.fault_plan.fault_for(&id) {
+            match config.fault_plan.take(&id) {
                 Some(Fault::Kill) => {
                     // Simulate a process killed mid-checkpoint-write: a
                     // torn half-record, then immediate death. The CI
@@ -566,13 +514,13 @@ mod tests {
     #[test]
     fn fault_plan_parses_and_rejects() {
         let plan = FaultPlan::parse("panic:fw,hang:dijkstra,kill:matching").expect("parse");
-        assert_eq!(plan.fault_for("fw"), Some(Fault::Panic));
-        assert_eq!(plan.fault_for("dijkstra"), Some(Fault::Hang));
-        assert_eq!(plan.fault_for("matching"), Some(Fault::Kill));
-        assert_eq!(plan.fault_for("other"), None);
+        assert_eq!(plan.take("fw"), Some(Fault::Panic));
+        assert_eq!(plan.take("dijkstra"), Some(Fault::Hang));
+        assert_eq!(plan.take("matching"), Some(Fault::Kill));
+        assert_eq!(plan.take("other"), None);
         assert!(FaultPlan::parse("explode:fw").is_err());
         assert!(FaultPlan::parse("no-colon").is_err());
-        assert!(FaultPlan::parse("").expect("empty spec").fault_for("x").is_none());
+        assert!(FaultPlan::parse("").expect("empty spec").take("x").is_none());
     }
 
     #[test]

@@ -215,9 +215,10 @@ impl SetAssocCache {
     }
 
     /// Public single-cache probe: simulate one access, returning whether
-    /// it hit. (The richer [`ProbeResult`] plumbing — write-backs,
-    /// prefetch requests — is internal to [`MemoryHierarchy`]
-    /// (crate::MemoryHierarchy), which owns inter-level traffic.)
+    /// it hit. (The richer `ProbeResult` plumbing — write-backs,
+    /// prefetch requests — is internal to
+    /// [`MemoryHierarchy`](crate::MemoryHierarchy), which owns
+    /// inter-level traffic.)
     pub fn probe(&mut self, addr: u64, kind: AccessKind) -> bool {
         self.access(addr, kind).hit
     }

@@ -1,6 +1,6 @@
 //! Span-scoped cache attribution: the simulator's flight recorder.
 //!
-//! A [`CacheProfiler`] attaches to a [`MemoryHierarchy`] (see
+//! A `CacheProfiler` attaches to a [`MemoryHierarchy`] (see
 //! [`MemoryHierarchy::attach_profiler`]) and charges every counter the
 //! hierarchy updates — per-level accesses/hits/misses/write-backs/
 //! prefetches, TLB translations, memory lines, three-Cs classes — to
@@ -11,7 +11,7 @@
 //! the misses came from, not just the end-of-run aggregate.
 //!
 //! Attribution is **event-driven**: the hierarchy emits one
-//! [`CacheEvent`] per counter-moving occurrence (a probe, a TLB lookup,
+//! `CacheEvent` per counter-moving occurrence (a probe, a TLB lookup,
 //! a memory-line fetch, a miss classification) at exactly the sites
 //! where its own counters change. One enum dispatch per event replaces
 //! the earlier design's two full `CacheStats` snapshots per access, and
@@ -45,7 +45,7 @@
 //!
 //! An optional [interval sampler](MemoryHierarchy::attach_profiler_sampled)
 //! additionally emits a delta-encoded miss-rate timeline: one
-//! [`TimelineRecord`](cachegraph_obs::TimelineRecord) every `interval`
+//! [`TimelineRecord`] every `interval`
 //! L1 accesses through the registry's JSONL sink (for watching long
 //! runs live), retained as [`TimelineSample`]s in the final
 //! [`CacheProfile`].

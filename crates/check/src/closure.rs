@@ -23,8 +23,9 @@ use cachegraph_fw::{
 use cachegraph_graph::{generators, AdjacencyArray};
 use cachegraph_rng::StdRng;
 
-use crate::driver::{schedule_options, DriverReport, PhaseScripts, ScriptSink, ScriptedShadow};
-use crate::explore::ExploreOptions;
+use crate::driver::{
+    schedule_options, DriverReport, ExploreOptions, PhaseScripts, ScriptSink, ScriptedShadow,
+};
 
 /// One closure checking configuration.
 #[derive(Clone, Copy, Debug)]

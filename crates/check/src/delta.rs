@@ -22,8 +22,9 @@ use cachegraph_sssp::{
     delta_stepping_parallel, dijkstra_binary_heap, DeltaPhasePlan, NO_VERTEX,
 };
 
-use crate::driver::{schedule_options, DriverReport, PhaseScripts, ScriptSink, ScriptedShadow};
-use crate::explore::ExploreOptions;
+use crate::driver::{
+    schedule_options, DriverReport, ExploreOptions, PhaseScripts, ScriptSink, ScriptedShadow,
+};
 
 /// One delta-stepping checking configuration.
 #[derive(Clone, Copy, Debug)]

@@ -1,5 +1,5 @@
-//! Shared script-replay engine for the per-solver driver checkers
-//! (delta-stepping SSSP, partitioned matching, parallel closure).
+//! Shared script-replay engine for the driver checkers (tiled FW,
+//! delta-stepping SSSP, partitioned matching, parallel closure).
 //!
 //! Each parallel driver executes its task bodies through a
 //! [`UnitSink`], so the checker can run the real algorithm *serially*
@@ -8,7 +8,7 @@
 //! epoch-stamped shadow memory ([`ShadowMem`]) under every (or a
 //! seeded-sampled set of) worker interleavings via the generic
 //! [`explore_phase`] engine, with workers mirroring the runtime's
-//! chunking.
+//! chunking. One step of a schedule is one recorded access.
 //!
 //! Race detection depends only on the access pattern — per-unit
 //! reader/writer sets within a phase — which for these drivers is fixed
@@ -25,7 +25,25 @@ use cachegraph_plan::schedule::{explore_phase, worker_steps, PhaseOutcome, Sched
 use cachegraph_plan::{ShadowMem, TaskGraph, UnitSink};
 use cachegraph_rng::StdRng;
 
-use crate::explore::ExploreOptions;
+/// Knobs for schedule exploration, shared by every driver checker.
+#[derive(Clone, Copy, Debug)]
+pub struct ExploreOptions {
+    /// Enumerate every interleaving of a phase when their count is at
+    /// most this; otherwise fall back to seeded-random sampling.
+    pub exhaustive_bound: u64,
+    /// Sampled schedules per phase in random mode.
+    pub samples: usize,
+    /// Barrier-omission mutation: replay two barrier-separated phases as
+    /// one merged phase. The checker must detect a race — used to test
+    /// the checker's sensitivity, not the driver.
+    pub merge_phases: bool,
+}
+
+impl Default for ExploreOptions {
+    fn default() -> Self {
+        Self { exhaustive_bound: 20_000, samples: 48, merge_phases: false }
+    }
+}
 
 /// Shadow value: which task wrote a unit last, and which of its ops.
 pub type Token = (u16, u32);

@@ -2,15 +2,15 @@
 //!
 //! Runs the full tier-1 pass:
 //!
-//! 1. footprint oracle sweep over every `(n, b)` up to a ceiling;
-//! 2. bounded schedule exploration of a matrix of `(n, b, threads)`
-//!    configurations (exhaustive where the interleaving count allows,
-//!    seeded-random otherwise);
-//! 3. one barrier-omission mutation, asserting the checker *detects*
-//!    the seeded race (sensitivity check);
-//! 4. the same three-part pass (oracle + script replay + seeded
-//!    mutation) for each TaskGraph driver: delta-stepping SSSP,
-//!    parallel partitioned matching, parallel tiled boolean closure.
+//! 1. the FW footprint oracle sweep over every `(n, b)` up to a
+//!    ceiling;
+//! 2. oracle + script replay for each TaskGraph driver over a matrix
+//!    of configurations (exhaustive where the interleaving count
+//!    allows, seeded-random otherwise): parallel tiled FW,
+//!    delta-stepping SSSP, parallel partitioned matching, parallel
+//!    tiled boolean closure;
+//! 3. one seeded barrier-omission mutation per driver, asserting the
+//!    checker *detects* the race (sensitivity check).
 //!
 //! Any violation prints the offending schedule and the seed to replay it
 //! (`cargo run -p cachegraph-check -- --seed <seed>`). Exit codes:
@@ -19,16 +19,16 @@
 use std::process::ExitCode;
 
 use cachegraph_check::{
-    check_closure, check_closure_mutation, check_delta, check_delta_mutation, check_matching,
-    check_matching_mutation, explore_config, sweep_footprints, ClosureConfig, Config, DeltaConfig,
-    DriverReport, ExploreOptions, MatchingConfig,
+    check_closure, check_closure_mutation, check_delta, check_delta_mutation, check_fw,
+    check_fw_mutation, check_matching, check_matching_mutation, sweep_footprints, ClosureConfig,
+    DeltaConfig, DriverReport, ExploreOptions, FwConfig, MatchingConfig,
 };
 
 /// Sweep ceiling for the footprint oracle.
 const SWEEP_N: usize = 20;
 const SWEEP_B: usize = 6;
 
-/// Exploration matrix: `(n, b, threads)`.
+/// FW exploration matrix: `(n, b, threads)`.
 const EXPLORE: &[(usize, usize, usize)] =
     &[(8, 4, 2), (8, 4, 4), (12, 4, 2), (9, 3, 3), (16, 4, 3), (20, 5, 4)];
 
@@ -110,7 +110,7 @@ fn main() -> ExitCode {
     };
     let mut failed = false;
 
-    // 1. Footprint oracle sweep.
+    // 1. FW footprint oracle sweep.
     let (configs, violations) = sweep_footprints(SWEEP_N, SWEEP_B);
     if violations.is_empty() {
         println!("oracle: {configs} (n, b) configs swept, all phase footprints disjoint");
@@ -121,40 +121,11 @@ fn main() -> ExitCode {
         }
     }
 
-    // 2. Schedule exploration.
+    // 2. TaskGraph driver checkers: oracle + script replay per driver.
     for &(n, b, threads) in EXPLORE {
-        let cfg = Config { n, b, threads, seed: args.seed };
-        let report = explore_config(&cfg, &opts);
-        let mode = if report.exhaustive { "exhaustive" } else { "sampled" };
-        if report.is_clean() {
-            println!("explore: {cfg}: {} schedules ({mode}), clean", report.schedules);
-        } else {
-            failed = true;
-            println!("explore: {cfg}: {} schedules ({mode}), VIOLATIONS", report.schedules);
-            for v in &report.violations {
-                println!("  race: {v}");
-            }
-            for m in &report.mismatches {
-                println!("  mismatch: {m}");
-            }
-            if !report.final_matches_sequential {
-                println!("  final state diverges from sequential fw_tiled");
-            }
-        }
+        let cfg = FwConfig { n, b, threads, seed: args.seed };
+        print_driver(&cfg.to_string(), &check_fw(&cfg, &opts), &mut failed);
     }
-
-    // 3. Barrier-omission mutation: the checker must flag the race.
-    let cfg = Config { n: 8, b: 4, threads: 2, seed: args.seed };
-    let mutated = ExploreOptions { merge_phases: true, ..opts };
-    let report = explore_config(&cfg, &mutated);
-    if let Some(v) = report.violations.first() {
-        println!("mutation: barrier between phases 2+3 removed on {cfg}: detected ({})", v.race.kind);
-    } else {
-        failed = true;
-        println!("mutation: {cfg}: race NOT detected — the checker is insensitive");
-    }
-
-    // 4. TaskGraph driver checkers: oracle + script replay per driver.
     for &(n, threads) in &[(12usize, 2usize), (12, 4), (16, 3)] {
         let cfg = DeltaConfig { n, density: 0.12, max_weight: 20, delta: 6, threads, seed: args.seed };
         print_driver(&cfg.to_string(), &check_delta(&cfg, &opts), &mut failed);
@@ -168,9 +139,10 @@ fn main() -> ExitCode {
         print_driver(&cfg.to_string(), &check_closure(&cfg, &opts), &mut failed);
     }
 
-    // 5. Seeded barrier-omission mutations per driver: each must be
+    // 3. Seeded barrier-omission mutations per driver: each must be
     // detected on its guaranteed-conflict fixture.
-    let mutations: [(&str, DriverReport); 3] = [
+    let mutations: [(&str, DriverReport); 4] = [
+        ("fw", check_fw_mutation(2, args.seed, &opts)),
         ("delta", check_delta_mutation(2, args.seed, &opts)),
         ("matching", check_matching_mutation(2, args.seed, &opts)),
         ("closure", check_closure_mutation(2, args.seed, &opts)),

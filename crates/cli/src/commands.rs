@@ -13,7 +13,7 @@ use cachegraph_bench::supervisor::{
 };
 use cachegraph_serve::{
     request_once, start_on as serve_start_on, EngineConfig as ServeEngineConfig,
-    FaultPlan as ServeFaultPlan, Op as ServeOp, Request as ServeRequest,
+    Op as ServeOp, Request as ServeRequest,
     Response as ServeResponse, ServerConfig,
 };
 use cachegraph_fw::instrumented::{
@@ -1139,8 +1139,8 @@ fn cmd_serve(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         },
     };
     let plan = match args.get("fault-plan") {
-        Some(spec) => ServeFaultPlan::parse(spec).map_err(CliError::Invalid)?,
-        None => ServeFaultPlan::none(),
+        Some(spec) => FaultPlan::parse(spec).map_err(CliError::Invalid)?,
+        None => FaultPlan::none(),
     };
     let port = args.parse_or("port", 0u16, "port number")?;
     let handle = serve_start_on(cfg, plan, Registry::new(), port).map_err(|e| {

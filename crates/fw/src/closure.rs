@@ -2,7 +2,7 @@
 //!
 //! The paper introduces Floyd-Warshall as solving "the all-pairs shortest
 //! paths problem, also referred to as transitive closure problem" (§1),
-//! and cites the companion study [34] (*Cache-Friendly Implementations of
+//! and cites the companion study \[34\] (*Cache-Friendly Implementations of
 //! Transitive Closure*). Over the boolean (OR-AND) semiring the distance
 //! matrix becomes a reachability matrix, and rows pack 64 vertices per
 //! machine word: the inner `j` loop turns into word-wide ORs, giving a

@@ -1,7 +1,7 @@
 //! Parallel tiled boolean closure — the driver deferred from the
 //! parallel-FW PR, now expressed on the shared TaskGraph runtime.
 //!
-//! The serial tiled driver ([`transitive_closure_tiled`]) has the Fig. 4
+//! The serial tiled driver ([`transitive_closure_tiled`](crate::transitive_closure_tiled)) has the Fig. 4
 //! band structure: close the diagonal row-band against itself, then
 //! propagate the closed band into every other row. Phase 2 is
 //! embarrassingly parallel *per row*: row `i`'s updates read only row `i`

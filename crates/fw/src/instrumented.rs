@@ -13,16 +13,15 @@
 use cachegraph_graph::{Weight, INF};
 use cachegraph_layout::{BlockLayout, Layout, RowMajor, ZMorton};
 use cachegraph_obs::Registry;
-use cachegraph_plan::worker_count;
+use cachegraph_plan::{worker_count, UnitSink};
 use cachegraph_sim::{
     AddressSpace, CacheProfile, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProfilerOptions,
     ScopeGuard, ScopeHandle, TracedBuffer,
 };
 
-use crate::kernel::{fwi_access, CellAccess, StridedView, View};
+use crate::kernel::{CellAccess, StridedView, View};
 use crate::observed::FwEvent;
 use crate::parallel::{for_each_phase, Phase, TileBorrow};
-use crate::plan::TileTask;
 use crate::recursive::{run_recursive, run_recursive_with};
 use crate::tiled::{run_tiled, run_tiled_with};
 
@@ -267,39 +266,35 @@ fn run_tiled_scoped<L: StridedView>(
 /// identical to the sequential sims.
 const PARALLEL_SIM_BASE: u64 = 0x1000_0000;
 
-/// Accessor for one task of the parallel simulation: cell values live in
-/// the task's borrowed tiles, cache behavior is simulated on the
-/// worker's private hierarchy at the cell's address in the shared array.
-struct TracedTiles<'t, 'm, 'h> {
-    task: &'t mut TileBorrow<'m>,
-    hier: &'h mut MemoryHierarchy,
+/// Sink of the parallel simulation: every cell a task touches is
+/// simulated on the worker's private hierarchy at the cell's address in
+/// the shared array.
+struct SimSink<'h>(&'h mut MemoryHierarchy);
+
+impl SimSink<'_> {
+    const CELL: usize = std::mem::size_of::<Weight>();
+
+    fn addr(unit: u64) -> u64 {
+        PARALLEL_SIM_BASE + unit * Self::CELL as u64
+    }
 }
 
-impl CellAccess for TracedTiles<'_, '_, '_> {
+impl UnitSink for SimSink<'_> {
     #[inline]
-    fn read(&mut self, idx: usize) -> Weight {
-        let size = std::mem::size_of::<Weight>();
-        self.hier.read(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        let t = &*self.task;
-        [(t.task.a, Some(&*t.a)), (t.task.b, t.b), (t.task.c, t.c)]
-            .into_iter()
-            .find_map(|(v, tile)| tile?.get(idx.checked_sub(v.offset)?).copied())
-            .unwrap_or_else(|| unreachable!("the kernel reads only its task's tiles"))
+    fn read(&mut self, unit: u64) {
+        self.0.read(Self::addr(unit), Self::CELL);
     }
 
     #[inline]
-    fn write(&mut self, idx: usize, v: Weight) {
-        let size = std::mem::size_of::<Weight>();
-        self.hier.write(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        self.task.a[idx - self.task.task.a.offset] = v;
+    fn write(&mut self, unit: u64) {
+        self.0.write(Self::addr(unit), Self::CELL);
     }
 }
 
 /// A task of the simulated run: the trait-default kernel on its tiles,
-/// through a [`TracedTiles`] accessor on `hier`.
+/// simulated on `hier`.
 fn run_traced_task(task: &mut TileBorrow<'_>, hier: &mut MemoryHierarchy, b: usize) {
-    let TileTask { a, b: vb, c } = task.task;
-    fwi_access(&mut TracedTiles { task, hier }, a, vb, c, b);
+    task.fwi_traced(b, &mut SimSink(hier));
 }
 
 /// Run one parallel phase of the profiled simulation: `tasks` split
@@ -453,7 +448,7 @@ pub fn sim_tiled_bdl(costs: &[Weight], n: usize, b: usize, config: HierarchyConf
 }
 
 /// Simulate the tiled implementation on a **row-major** layout (the
-/// configuration of [43] that Table 2 compares against BDL). `b` must
+/// configuration of \[43\] that Table 2 compares against BDL). `b` must
 /// divide `n`.
 pub fn sim_tiled_rowmajor(
     costs: &[Weight],

@@ -20,9 +20,12 @@
 //!   `cachegraph-sim` hierarchy for miss-count experiments (Tables 1–3).
 //!
 //! All variants work on a [`FwMatrix`]: a padded square matrix of `u32`
-//! weights in a pluggable layout ([`RowMajor`], [`BlockLayout`] /
-//! [`ZMorton`] from `cachegraph-layout`). `INF` marks "no path"; arithmetic
-//! saturates, keeping the min-plus semiring closed.
+//! weights in a pluggable layout
+//! ([`RowMajor`](cachegraph_layout::RowMajor),
+//! [`BlockLayout`](cachegraph_layout::BlockLayout) /
+//! [`ZMorton`](cachegraph_layout::ZMorton) from `cachegraph-layout`).
+//! `INF` marks "no path"; arithmetic saturates, keeping the min-plus
+//! semiring closed.
 //!
 //! # Quick example
 //!

@@ -1,6 +1,6 @@
 //! Parallel tiled Floyd-Warshall — the parallelisation the paper's
 //! conclusion sketches: "Since computation and data are already decomposed,
-//! what need to be added are computation and data distribution [and]
+//! what need to be added are computation and data distribution \[and\]
 //! synchronization".
 //!
 //! Within one block iteration `t` the tiled decomposition has three
@@ -23,22 +23,26 @@
 //! The task plan (which tile each task writes and reads, per phase) is
 //! built by [`crate::plan::Planner`] — pure data shared with the dynamic
 //! disjointness test below and with the `cachegraph-check` footprint
-//! oracle and schedule explorer.
+//! oracle.
 //!
-//! One phase loop and one split serve three runs, which differ only in
-//! what a task runs and in the executor that runs a phase: the timed
-//! driver (the slice kernel under [`cachegraph_plan::run_tasks_mut`]),
-//! the hand-rolled dispatch baseline (the same kernel under a private
-//! spawn loop), and the simulated run
+//! One phase loop ([`for_each_phase`]) and one split serve four runs,
+//! which differ only in what a task runs and in the executor that runs a
+//! phase: the timed driver (the slice kernel under
+//! [`cachegraph_plan::run_tasks_mut`]), the hand-rolled dispatch baseline
+//! (the same kernel under a private spawn loop), the simulated run
 //! [`sim_tiled_parallel_profiled`](crate::instrumented::sim_tiled_parallel_profiled)
-//! (the trait-default kernel traced on per-worker hierarchies).
+//! and the `cachegraph-check` model checker. The last two run each task's
+//! trait-default kernel through [`TileBorrow::fwi_traced`], which reports
+//! every cell it touches to a [`UnitSink`]: the simulation's sink drives a
+//! worker's cache hierarchy, the checker's records the task's access
+//! script.
 
 use cachegraph_graph::Weight;
 use cachegraph_layout::{BlockLayout, ZMorton};
 use cachegraph_obs::{Counter, Registry};
-use cachegraph_plan::{run_tasks_mut, worker_count};
+use cachegraph_plan::{run_tasks_mut, worker_count, UnitSink};
 
-use crate::kernel::{fwi_tiles, StridedView, View};
+use crate::kernel::{fwi_access, fwi_tiles, CellAccess, StridedView, View};
 use crate::matrix::FwMatrix;
 use crate::plan::{Planner, TileTask};
 
@@ -55,7 +59,7 @@ impl ContiguousTiles for ZMorton {}
 
 /// The phases of one block iteration, in order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Phase {
+pub enum Phase {
     /// The diagonal tile.
     Diagonal,
     /// The rest of row `t` and column `t`.
@@ -65,20 +69,58 @@ pub(crate) enum Phase {
 }
 
 /// One task of a phase with its operands borrowed from the matrix
-/// storage: `task` says where its tiles sit, `a` is its A tile, and `b`
-/// and `c` are the tiles it reads, or `None` where that operand is A.
-pub(crate) struct TileBorrow<'m> {
+/// storage.
+pub struct TileBorrow<'m> {
+    /// Where the task's tiles sit in the storage.
     pub task: TileTask,
+    /// The A tile, the one the task writes.
     pub a: &'m mut [Weight],
+    /// The B tile, or `None` where B is A.
     pub b: Option<&'m [Weight]>,
+    /// The C tile, or `None` where C is A.
     pub c: Option<&'m [Weight]>,
+}
+
+impl TileBorrow<'_> {
+    /// Run the trait-default kernel (`CellAccess::fwi_block`, the paper's
+    /// cell order) on the task's tiles, reporting the flat storage index
+    /// of every cell it reads or writes to `sink`.
+    pub fn fwi_traced(&mut self, b: usize, sink: &mut impl UnitSink) {
+        let TileTask { a, b: vb, c } = self.task;
+        fwi_access(&mut TracedTiles { task: self, sink }, a, vb, c, b);
+    }
+}
+
+/// Accessor for [`TileBorrow::fwi_traced`]: cell values live in the
+/// task's borrowed tiles, and every flat index goes to the sink.
+struct TracedTiles<'t, 'm, S> {
+    task: &'t mut TileBorrow<'m>,
+    sink: &'t mut S,
+}
+
+impl<S: UnitSink> CellAccess for TracedTiles<'_, '_, S> {
+    #[inline]
+    fn read(&mut self, idx: usize) -> Weight {
+        self.sink.read(idx as u64);
+        let t = &*self.task;
+        [(t.task.a, Some(&*t.a)), (t.task.b, t.b), (t.task.c, t.c)]
+            .into_iter()
+            .find_map(|(v, tile)| tile?.get(idx.checked_sub(v.offset)?).copied())
+            .unwrap_or_else(|| unreachable!("the kernel reads only its task's tiles"))
+    }
+
+    #[inline]
+    fn write(&mut self, idx: usize, v: Weight) {
+        self.sink.write(idx as u64);
+        self.task.a[idx - self.task.task.a.offset] = v;
+    }
 }
 
 /// The phase loop of every parallel tiled run: for each block iteration
 /// `t`, each phase's tasks from the [`Planner`], split into borrows of
 /// `storage` and handed to `run` with `t` and the phase. `run` must
 /// finish every task before it returns; that return is the barrier.
-pub(crate) fn for_each_phase<L: ContiguousTiles>(
+pub fn for_each_phase<L: ContiguousTiles>(
     layout: &L,
     n: usize,
     b: usize,

@@ -16,6 +16,8 @@
 
 use std::ops::Range;
 
+use cachegraph_plan::{TaskFootprint, TaskGraph};
+
 use crate::kernel::{StridedView, View};
 
 /// One unit of tiled FW work: update tile `a` in place using tiles `b`
@@ -44,6 +46,14 @@ impl TileTask {
     pub fn read_rows(&self, b: usize) -> impl Iterator<Item = Range<usize>> {
         view_rows(self.a, b).chain(view_rows(self.b, b)).chain(view_rows(self.c, b))
     }
+
+    /// Both footprints as sets of flat cell indices.
+    fn footprint(&self, b: usize) -> TaskFootprint {
+        TaskFootprint {
+            reads: self.read_rows(b).flatten().map(|cell| cell as u64).collect(),
+            writes: self.write_rows(b).flatten().map(|cell| cell as u64).collect(),
+        }
+    }
 }
 
 /// Rows of a `b x b` tile view as flat cell ranges.
@@ -58,8 +68,7 @@ pub fn view_rows(v: View, b: usize) -> impl Iterator<Item = Range<usize>> {
 ///
 /// The parallel driver routes all its task construction through this
 /// type; the disjointness test and the `cachegraph-check` footprint
-/// oracle and schedule explorer build their plans with the very same
-/// calls.
+/// oracle build their plans with the very same calls.
 pub struct Planner<'l, L: StridedView> {
     layout: &'l L,
     b: usize,
@@ -130,6 +139,20 @@ impl<'l, L: StridedView> Planner<'l, L> {
                 out.push(TileTask { a, b: a, c: diag });
             }
         }
+    }
+
+    /// The declared footprints of block iteration `t`, one phase per
+    /// barrier (`phase1` to `phase3`), in flat cell indices: what the
+    /// `cachegraph-check` oracle proves disjoint.
+    pub fn task_graph(&self, t: usize) -> TaskGraph {
+        let mut graph = TaskGraph::new("fw");
+        graph.push_phase("phase1", vec![self.phase1(t).footprint(self.b)]);
+        let mut tasks = Vec::new();
+        self.phase2(t, &mut tasks);
+        graph.push_phase("phase2", tasks.iter().map(|task| task.footprint(self.b)).collect());
+        self.phase3(t, &mut tasks);
+        graph.push_phase("phase3", tasks.iter().map(|task| task.footprint(self.b)).collect());
+        graph
     }
 
     /// Phase-3 tasks of block iteration `t` into `out`: every remaining

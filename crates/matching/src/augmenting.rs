@@ -12,6 +12,19 @@
 //! per free left vertex, stamp-cleared visit marks). It computes the same
 //! maximum matching with far less work; it is *not* the paper's baseline
 //! — it exists as an extension and as a differential-testing oracle.
+//!
+//! One private loop runs Fig. 8 for three entry points: the plain
+//! [`find_matching`], [`find_matching_recorded`] (every `mate` access
+//! reported to a [`UnitSink`]), and [`find_matching_cancellable`] for
+//! deadline-propagating callers. The cancellable one polls a plain
+//! `FnMut() -> bool` *between* augmentation rounds — the natural
+//! boundary: each round is one whole-graph BFS plus one path flip, so
+//! the matching is structurally consistent (just not yet maximum)
+//! whenever the poll fires, and the partial matching is returned
+//! alongside the marker. This crate never references the observability
+//! layer (obs-purity — see the `obs_*_cancel.rs` fixture pair in
+//! `cachegraph-tidy`); the per-round poll is also the unit of the serve
+//! layer's `cancel_polls` trace tag.
 
 use cachegraph_graph::{Graph, VertexId};
 use cachegraph_plan::{NoSink, UnitSink};
@@ -61,16 +74,15 @@ impl Matching {
     }
 }
 
-/// Reusable scratch for the whole-graph augmentation step, so the
-/// plain and cancellable drivers share one iteration body.
-pub(crate) struct AugmentScratch {
+/// Reusable scratch for the whole-graph augmentation step.
+struct AugmentScratch {
     parent: Vec<VertexId>,
     visited: Vec<bool>,
     queue: Vec<VertexId>,
 }
 
 impl AugmentScratch {
-    pub(crate) fn new(n: usize, n_left: usize) -> Self {
+    fn new(n: usize, n_left: usize) -> Self {
         Self { parent: vec![FREE; n], visited: vec![false; n], queue: Vec::with_capacity(n_left) }
     }
 }
@@ -80,22 +92,14 @@ impl AugmentScratch {
 /// right -> left); if an augmenting path exists, flip it and grow `m`
 /// by one. Returns `false` when no augmenting path exists (`m` is
 /// maximum).
-pub(crate) fn augment_once<G: Graph>(
-    g: &G,
-    n_left: usize,
-    m: &mut Matching,
-    s: &mut AugmentScratch,
-) -> bool {
-    augment_once_sink(g, n_left, m, s, &mut NoSink)
-}
-
-/// [`augment_once`] with every access to the `mate` array reported to a
-/// [`UnitSink`] (unit = vertex id). `cachegraph-check`'s matching driver
-/// records these scripts to replay augmentation rounds against shadow
-/// memory, and the differential footprint test compares them with the
-/// declared per-part footprints. The sink is observational only: with
-/// [`NoSink`] this compiles to exactly the un-instrumented round.
-pub(crate) fn augment_once_sink<G: Graph, S: UnitSink>(
+///
+/// Every access to the `mate` array is reported to `sink` (unit =
+/// vertex id). `cachegraph-check`'s matching driver records these
+/// scripts to replay augmentation rounds against shadow memory, and the
+/// differential footprint test compares them with the declared per-part
+/// footprints. The sink is observational only: with [`NoSink`] this
+/// compiles to exactly the un-instrumented round.
+fn augment_once<G: Graph, S: UnitSink>(
     g: &G,
     n_left: usize,
     m: &mut Matching,
@@ -155,17 +159,52 @@ pub(crate) fn augment_once_sink<G: Graph, S: UnitSink>(
     true
 }
 
-/// `FindMatching(G, M)` of Fig. 8: repeat a whole-graph BFS for one
-/// augmenting path and flip it, until no augmenting path exists. Left
-/// vertices are `0..n_left`. Returns the (maximum) matching.
-pub fn find_matching<G: Graph>(g: &G, n_left: usize, initial: Matching) -> Matching {
+/// The search was cancelled between augmentation rounds; the carried
+/// matching is valid but may not be maximum.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MatchCancelled {
+    /// The structurally consistent partial matching at cancellation.
+    pub partial: Matching,
+}
+
+impl std::fmt::Display for MatchCancelled {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "matching cancelled after {} augmentations", self.partial.size)
+    }
+}
+
+impl std::error::Error for MatchCancelled {}
+
+/// The Fig. 8 loop behind every entry point: poll `cancel`, then run one
+/// augmentation round reporting to `sink`, until no augmenting path is
+/// left. The last round is the failed search that proves maximality.
+fn fig8<G: Graph, S: UnitSink>(
+    g: &G,
+    n_left: usize,
+    initial: Matching,
+    sink: &mut S,
+    cancel: &mut impl FnMut() -> bool,
+) -> Result<Matching, MatchCancelled> {
     let n = g.num_vertices();
     assert!(n_left <= n, "left side larger than the graph");
     assert_eq!(initial.mate.len(), n, "initial matching has wrong size");
     let mut m = initial;
     let mut scratch = AugmentScratch::new(n, n_left);
-    while augment_once(g, n_left, &mut m, &mut scratch) {}
-    m
+    loop {
+        if cancel() {
+            return Err(MatchCancelled { partial: m });
+        }
+        if !augment_once(g, n_left, &mut m, &mut scratch, sink) {
+            return Ok(m);
+        }
+    }
+}
+
+/// `FindMatching(G, M)` of Fig. 8: repeat a whole-graph BFS for one
+/// augmenting path and flip it, until no augmenting path exists. Left
+/// vertices are `0..n_left`. Returns the (maximum) matching.
+pub fn find_matching<G: Graph>(g: &G, n_left: usize, initial: Matching) -> Matching {
+    fig8(g, n_left, initial, &mut NoSink, &mut || false).unwrap_or_else(|c| c.partial)
 }
 
 /// [`find_matching`] with every `mate` access reported to a
@@ -178,13 +217,18 @@ pub fn find_matching_recorded<G: Graph, S: UnitSink>(
     initial: Matching,
     sink: &mut S,
 ) -> Matching {
-    let n = g.num_vertices();
-    assert!(n_left <= n, "left side larger than the graph");
-    assert_eq!(initial.mate.len(), n, "initial matching has wrong size");
-    let mut m = initial;
-    let mut scratch = AugmentScratch::new(n, n_left);
-    while augment_once_sink(g, n_left, &mut m, &mut scratch, sink) {}
-    m
+    fig8(g, n_left, initial, sink, &mut || false).unwrap_or_else(|c| c.partial)
+}
+
+/// [`find_matching`] with a cancellation poll between augmentation
+/// rounds.
+pub fn find_matching_cancellable<G: Graph>(
+    g: &G,
+    n_left: usize,
+    initial: Matching,
+    cancel: &mut impl FnMut() -> bool,
+) -> Result<Matching, MatchCancelled> {
+    fig8(g, n_left, initial, &mut NoSink, cancel)
 }
 
 /// Scratch space for [`find_matching_fast`], reused across searches.
@@ -341,5 +385,48 @@ mod tests {
                 "edge {e:?} joins two free vertices"
             );
         }
+    }
+
+    #[test]
+    fn uncancelled_matches_find_matching() {
+        for seed in 0..6 {
+            let b = generators::random_bipartite(60, 0.1, seed);
+            let g = b.build_array();
+            let plain = find_matching(&g, 30, Matching::empty(60));
+            let c = find_matching_cancellable(&g, 30, Matching::empty(60), &mut || false)
+                .expect("never cancelled");
+            assert_eq!(plain.size, c.size, "seed {seed}");
+            c.assert_valid(&g);
+        }
+    }
+
+    #[test]
+    fn cancellation_returns_a_consistent_partial_matching() {
+        let b = generators::random_bipartite(80, 0.15, 3);
+        let g = b.build_array();
+        let full = find_matching(&g, 40, Matching::empty(80));
+        // Allow exactly 2 augmentation rounds, then cancel.
+        let mut rounds = 0usize;
+        let err = find_matching_cancellable(&g, 40, Matching::empty(80), &mut || {
+            rounds += 1;
+            rounds > 2
+        })
+        .expect_err("must cancel");
+        assert_eq!(err.partial.size, 2, "two granted rounds, one augmentation each");
+        assert!(err.partial.size <= full.size);
+        err.partial.assert_valid(&g);
+        // Resuming from the partial matching completes to the maximum.
+        let resumed = find_matching(&g, 40, err.partial);
+        assert_eq!(resumed.size, full.size);
+    }
+
+    #[test]
+    fn immediate_cancellation_returns_the_initial_matching() {
+        let b = generators::random_bipartite(20, 0.2, 1);
+        let g = b.build_array();
+        let err = find_matching_cancellable(&g, 10, Matching::empty(20), &mut || true)
+            .expect_err("cancelled before the first round");
+        assert_eq!(err.partial.size, 0);
+        assert!(err.to_string().contains("after 0 augmentations"));
     }
 }

@@ -160,25 +160,14 @@ pub fn sim_find_matching(
     edges: &[Edge],
     config: HierarchyConfig,
 ) -> MatchSimResult {
-    sim_find_matching_observed(n, n_left, edges, config, &Registry::disabled())
+    sim_find_matching_inner(n, n_left, edges, config, &Registry::disabled(), None)
 }
 
-/// [`sim_find_matching`] reporting into `registry`: a `matching.baseline`
-/// span plus the `matching.searches` / `matching.augmenting_paths`
-/// counters.
-pub fn sim_find_matching_observed(
-    n: usize,
-    n_left: usize,
-    edges: &[Edge],
-    config: HierarchyConfig,
-    registry: &Registry,
-) -> MatchSimResult {
-    sim_find_matching_inner(n, n_left, edges, config, registry, None)
-}
-
-/// [`sim_find_matching_observed`] with span-scoped cache attribution
-/// under the given [`ProfilerOptions`] (recording mode and miss-rate
-/// timeline interval).
+/// [`sim_find_matching`] reporting into `registry` — a
+/// `matching.baseline` span plus the `matching.searches` /
+/// `matching.augmenting_paths` counters — with span-scoped cache
+/// attribution under the given [`ProfilerOptions`] (recording mode and
+/// miss-rate timeline interval).
 pub fn sim_find_matching_profiled(
     n: usize,
     n_left: usize,
@@ -222,28 +211,16 @@ pub fn sim_find_matching_partitioned(
     scheme: PartitionScheme,
     config: HierarchyConfig,
 ) -> MatchSimResult {
-    sim_find_matching_partitioned_observed(n, n_left, edges, scheme, config, &Registry::disabled())
+    sim_find_matching_partitioned_inner(n, n_left, edges, scheme, config, &Registry::disabled(), None)
 }
 
-/// [`sim_find_matching_partitioned`] reporting into `registry`: a
+/// [`sim_find_matching_partitioned`] reporting into `registry` — a
 /// `matching.partitioned` root span with one `local[k]` child per
 /// sub-problem and a `global` child for the clean-up pass, plus the
-/// `matching.searches` / `matching.augmenting_paths` counters.
-pub fn sim_find_matching_partitioned_observed(
-    n: usize,
-    n_left: usize,
-    edges: &[Edge],
-    scheme: PartitionScheme,
-    config: HierarchyConfig,
-    registry: &Registry,
-) -> MatchSimResult {
-    sim_find_matching_partitioned_inner(n, n_left, edges, scheme, config, registry, None)
-}
-
-/// [`sim_find_matching_partitioned_observed`] with span-scoped cache
-/// attribution: the profile splits the counters across one
-/// `matching.partitioned/local[k]` scope per sub-problem and a
-/// `matching.partitioned/global` scope for the clean-up pass.
+/// `matching.searches` / `matching.augmenting_paths` counters — with
+/// span-scoped cache attribution: the profile splits the counters
+/// across one `matching.partitioned/local[k]` scope per sub-problem and
+/// a `matching.partitioned/global` scope for the clean-up pass.
 pub fn sim_find_matching_partitioned_profiled(
     n: usize,
     n_left: usize,
@@ -370,7 +347,8 @@ mod tests {
     fn observed_run_counts_augmenting_paths() {
         let b = generators::random_bipartite(64, 0.12, 3);
         let reg = cachegraph_obs::Registry::new();
-        let r = sim_find_matching_observed(64, 32, b.edges(), profiles::simplescalar(), &reg);
+        let opts = ProfilerOptions::exact();
+        let r = sim_find_matching_profiled(64, 32, b.edges(), profiles::simplescalar(), opts, &reg);
         let snap = reg.snapshot();
         // One successful augmentation per matched edge, plus the final
         // failed search ending the loop.
@@ -379,12 +357,13 @@ mod tests {
         assert_eq!(snap.spans.last().map(|s| s.path.as_str()), Some("matching.baseline"));
 
         let reg2 = cachegraph_obs::Registry::new();
-        let r2 = sim_find_matching_partitioned_observed(
+        let r2 = sim_find_matching_partitioned_profiled(
             64,
             32,
             b.edges(),
             PartitionScheme::Contiguous(4),
             profiles::simplescalar(),
+            opts,
             &reg2,
         );
         assert_eq!(r2.size, r.size);

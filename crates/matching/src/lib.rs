@@ -40,7 +40,6 @@
 //! ```
 
 mod augmenting;
-mod cancel;
 mod hopcroft_karp;
 pub mod instrumented;
 pub mod maxflow;
@@ -49,8 +48,10 @@ pub mod partition;
 mod partitioned;
 pub mod verify;
 
-pub use augmenting::{find_matching, find_matching_fast, find_matching_recorded, Matching};
-pub use cancel::{find_matching_cancellable, MatchCancelled};
+pub use augmenting::{
+    find_matching, find_matching_cancellable, find_matching_fast, find_matching_recorded,
+    MatchCancelled, Matching,
+};
 pub use hopcroft_karp::hopcroft_karp;
 pub use parallel::{
     find_matching_partitioned_parallel, find_matching_partitioned_parallel_cancellable,

@@ -23,8 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use cachegraph_graph::{AdjacencyArray, Edge, Graph, VertexId};
 use cachegraph_plan::{run_tasks_mut, TaskFootprint, TaskGraph};
 
-use crate::augmenting::Matching;
-use crate::cancel::{find_matching_cancellable, MatchCancelled};
+use crate::augmenting::{find_matching_cancellable, MatchCancelled, Matching};
 use crate::partitioned::{
     build_local_parts, merge_local, LocalPart, PartitionScheme, PartitionedStats,
 };

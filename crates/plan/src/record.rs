@@ -5,10 +5,9 @@
 //! the *same* code once with [`NoSink`] (production, every hook inlines
 //! to nothing) and once with [`UnitRecorder`] (tests), yielding the set
 //! of units the task actually touched. The differential footprint tests
-//! compare that recording against the plan-declared
-//! [`TaskFootprint`](crate::footprint::TaskFootprint) — the second leg
-//! of the three-way evidence (statically inferred ⊆ declared ⊇
-//! dynamically recorded).
+//! compare that recording against the plan-declared [`TaskFootprint`]
+//! — the second leg of the three-way evidence (statically inferred ⊆
+//! declared ⊇ dynamically recorded).
 
 use std::collections::BTreeSet;
 

@@ -1,7 +1,7 @@
 //! A sharded, cache-line-aligned LRU result cache.
 //!
 //! Queries hash to one of `shards` independent shards, so concurrent
-//! workers rarely contend on the same lock. Each [`Shard`] is
+//! workers rarely contend on the same lock. Each `Shard` is
 //! `#[repr(align(64))]` — one shard per cache line, so a worker
 //! hammering shard 3's lock never invalidates the line holding shard
 //! 4's, and the per-shard hit/miss counters are padded apart the same

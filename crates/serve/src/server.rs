@@ -58,22 +58,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A fault to inject on the next request of a given op.
+/// A fault to inject at a named point: the next request of an op in
+/// the daemon, or an experiment under the bench supervisor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
-    /// Panic inside the handler (exercises `catch_unwind` isolation).
+    /// Panic inside the handler or experiment (exercises `catch_unwind`
+    /// isolation).
     Panic,
-    /// Sleep through the deadline before computing (exercises
-    /// `DEADLINE_EXCEEDED` and queue backpressure).
+    /// Sleep through the deadline (exercises `DEADLINE_EXCEEDED` and
+    /// queue backpressure, or the supervisor's watchdog).
     Hang,
-    /// Write a torn response frame and drop the connection (exercises
-    /// client-side torn-frame retry).
+    /// Tear the output and stop: a torn response frame and a dropped
+    /// connection (client-side torn-frame retry), or a torn journal line
+    /// and a killed process (supervisor resume).
     Kill,
 }
 
-/// One-shot fault injections keyed by op name, sharing the
-/// `panic:ID,hang:ID,kill:ID` grammar of the bench supervisor. Each
-/// entry fires once, then clears.
+/// One-shot fault injections keyed by id (an op name for the daemon,
+/// an experiment id for the bench supervisor), parsed from
+/// `panic:ID,hang:ID,kill:ID`. Each entry fires once, then clears.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     faults: Mutex<BTreeMap<String, Fault>>,
@@ -85,16 +88,16 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// Parse `panic:path,hang:reach,kill:match`. Op names are not
-    /// validated here — a fault keyed on an op that never arrives
-    /// simply never fires.
+    /// Parse `panic:path,hang:reach,kill:match`, ignoring whitespace
+    /// around each entry. Ids are not validated here — a fault keyed on
+    /// an id that never arrives simply never fires.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut faults = BTreeMap::new();
         for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (kind, op) = part
                 .trim()
                 .split_once(':')
-                .ok_or_else(|| format!("fault `{part}` is not KIND:OP"))?;
+                .ok_or_else(|| format!("fault `{part}` is not KIND:ID"))?;
             let fault = match kind {
                 "panic" => Fault::Panic,
                 "hang" => Fault::Hang,

@@ -4,9 +4,10 @@
 //! deadline. Two searches take a caller's cancellation hook:
 //!
 //! * [`dijkstra_cancellable`] (and [`dijkstra_to`] over the standard
-//!   heap) is the paper-faithful [`dijkstra`](crate::dijkstra) loop
-//!   with an optional *target* vertex: it stops as soon as the target
-//!   is settled, since every later extraction is farther away. It polls
+//!   heap) is the paper-faithful Fig. 7 loop — [`dijkstra`](crate::dijkstra)
+//!   runs it with no target and a poll that never fires — with an
+//!   optional *target* vertex: it stops as soon as the target is
+//!   settled, since every later extraction is farther away. It polls
 //!   every [`CANCEL_CHECK_INTERVAL`] extract-mins (the "bucket boundary"
 //!   — checking per relaxation would put a branch in the hot loop for
 //!   nothing, since a deadline is milliseconds and a bucket is

@@ -1,9 +1,9 @@
 //! Dijkstra's algorithm (Fig. 7), generic over representation and queue.
 
-use cachegraph_graph::{Graph, VertexId, Weight, INF};
+use cachegraph_graph::{Graph, VertexId, Weight};
 use cachegraph_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
-use crate::NO_VERTEX;
+use crate::cancel::{dijkstra_cancellable, Cancelled};
 
 /// Distances and shortest-path tree from one source.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -11,39 +11,20 @@ pub struct SsspResult {
     /// `dist[v]` = weight of the shortest path from the source, `INF` if
     /// unreachable.
     pub dist: Vec<Weight>,
-    /// `pred[v]` = predecessor on that path, [`NO_VERTEX`] for the source
-    /// and unreachable vertices.
+    /// `pred[v]` = predecessor on that path, [`NO_VERTEX`](crate::NO_VERTEX)
+    /// for the source and unreachable vertices.
     pub pred: Vec<VertexId>,
 }
 
 /// Dijkstra exactly as in the paper's Fig. 7: every vertex starts in the
 /// queue (`Q = V[G]`), then `N` Extract-Mins and up to `E` Updates
 /// (decrease-keys) are performed. The graph representation is streamed
-/// once — each adjacency is touched exactly one time.
+/// once — each adjacency is touched exactly one time. This is the loop
+/// of [`dijkstra_cancellable`] with no target and a poll that never
+/// fires.
 pub fn dijkstra<G: Graph, Q: DecreaseKeyQueue>(g: &G, source: VertexId) -> SsspResult {
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let mut dist = vec![INF; n];
-    let mut pred = vec![NO_VERTEX; n];
-    let mut q = Q::with_capacity(n);
-    for v in 0..n as VertexId {
-        q.insert(v, if v == source { 0 } else { INF });
-    }
-    dist[source as usize] = 0;
-    while let Some((u, du)) = q.extract_min() {
-        if du == INF {
-            // Remaining vertices are unreachable.
-            break;
-        }
-        dist[u as usize] = du;
-        for (v, w) in g.neighbors(u) {
-            let nd = du.saturating_add(w);
-            if q.decrease_key(v, nd) {
-                pred[v as usize] = u;
-            }
-        }
-    }
-    SsspResult { dist, pred }
+    dijkstra_cancellable::<G, Q>(g, source, None, &mut || false)
+        .unwrap_or_else(|Cancelled| unreachable!("the poll never fires"))
 }
 
 /// [`dijkstra`] with the standard indexed binary heap.
@@ -66,7 +47,8 @@ pub fn apsp_dijkstra<G: Graph>(g: &G) -> Vec<Weight> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cachegraph_graph::EdgeListBuilder;
+    use crate::NO_VERTEX;
+    use cachegraph_graph::{EdgeListBuilder, INF};
     use cachegraph_pq::{DAryHeap, FibonacciHeap, PairingHeap};
 
     fn diamond() -> EdgeListBuilder {

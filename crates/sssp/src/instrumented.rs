@@ -388,19 +388,10 @@ pub fn sim_prim_adj_array(
     root: VertexId,
     config: HierarchyConfig,
 ) -> SsspSimResult {
-    sim_prim_adj_array_observed(g, root, config, &Registry::disabled())
-}
-
-/// [`sim_prim_adj_array`] reporting spans and counters into `registry`.
-pub fn sim_prim_adj_array_observed(
-    g: &AdjacencyArray,
-    root: VertexId,
-    config: HierarchyConfig,
-    registry: &Registry,
-) -> SsspSimResult {
     let mut space = AddressSpace::new();
     let tg = TracedArray::build(&mut space, g);
-    sim_run(&mut space, &tg, root, Algo::Prim, config, RunObs { registry, span_name: "prim.array", profiler: None })
+    let obs = RunObs { registry: &Registry::disabled(), span_name: "prim.array", profiler: None };
+    sim_run(&mut space, &tg, root, Algo::Prim, config, obs)
 }
 
 /// Simulated Prim over the arena adjacency list.
@@ -409,19 +400,10 @@ pub fn sim_prim_adj_list(
     root: VertexId,
     config: HierarchyConfig,
 ) -> SsspSimResult {
-    sim_prim_adj_list_observed(g, root, config, &Registry::disabled())
-}
-
-/// [`sim_prim_adj_list`] reporting spans and counters into `registry`.
-pub fn sim_prim_adj_list_observed(
-    g: &AdjacencyList,
-    root: VertexId,
-    config: HierarchyConfig,
-    registry: &Registry,
-) -> SsspSimResult {
     let mut space = AddressSpace::new();
     let tg = TracedList::build(&mut space, g);
-    sim_run(&mut space, &tg, root, Algo::Prim, config, RunObs { registry, span_name: "prim.list", profiler: None })
+    let obs = RunObs { registry: &Registry::disabled(), span_name: "prim.list", profiler: None };
+    sim_run(&mut space, &tg, root, Algo::Prim, config, obs)
 }
 
 #[cfg(test)]

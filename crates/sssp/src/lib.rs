@@ -8,7 +8,7 @@
 //!
 //! The conclusion's extension algorithms are here too: [`bellman_ford`]
 //! (same streaming access pattern, same representation win), [`bfs`] /
-//! [`dfs`] traversals, [`connected_components`], and [`scc`] (Tarjan).
+//! [`dfs_preorder`] traversals, [`connected_components`], and [`scc`] (Tarjan).
 //! [`kruskal`] serves as an independent MST oracle for testing Prim.
 //!
 //! [`instrumented`] replays Dijkstra and Prim — graph, distance array,

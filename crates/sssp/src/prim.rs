@@ -24,8 +24,9 @@ pub struct MstResult {
 }
 
 /// Prim's algorithm from `root` over an undirected graph (both arcs of
-/// every edge present, as [`EdgeListBuilder::add_undirected`]
-/// (cachegraph_graph::EdgeListBuilder::add_undirected) produces).
+/// every edge present, as
+/// [`EdgeListBuilder::add_undirected`](cachegraph_graph::EdgeListBuilder::add_undirected)
+/// produces).
 pub fn prim<G: Graph, Q: DecreaseKeyQueue>(g: &G, root: VertexId) -> MstResult {
     let n = g.num_vertices();
     assert!((root as usize) < n, "root out of range");

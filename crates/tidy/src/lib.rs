@@ -18,12 +18,6 @@
 //!   cache simulator's address/set-index arithmetic;
 //! * [`rules::kernel_purity`] — files opted in via a `// tidy: kernel`
 //!   marker must not allocate or take locks;
-//! * [`rules::kernel_bounds`] — kernel-marked files must not index slices
-//!   with a raw range counter where an `iter().zip()` chain would elide
-//!   the bounds check;
-//! * [`rules::obs_purity`] — kernel-marked files must not reference the
-//!   observability layer (`cachegraph_obs`); instrumentation lives in
-//!   the drivers;
 //! * [`rules::doc_coverage`] — every top-level `pub` item in the facade
 //!   crate (`src/`) carries a `///` doc comment;
 //! * [`rules::dependency_policy`] — workspace manifests carry no
@@ -37,9 +31,16 @@
 //! let set = (addr >> shift) as u32;
 //! ```
 //!
-//! Run it with `cargo run -p cachegraph-tidy`; the integration test in
-//! `tests/workspace_clean.rs` runs the same pass under `cargo test`, so
-//! tier-1 CI fails on any unwaived violation.
+//! Two more kernel-file rules, `kernel-bounds` (no slice subscript
+//! driven by a range counter where an `iter().zip()` chain would elide
+//! the bounds check) and `obs-purity` (no reference to the
+//! observability layer), are judged over the parsed AST by
+//! `cachegraph-analyze`'s `rules` module, which reads the same marker and
+//! waivers.
+//!
+//! Run it with `cargo run -p cachegraph-tidy`; the root integration test
+//! `tests/tidy.rs` runs the same pass, plus the two AST rules, under
+//! `cargo test`, so tier-1 CI fails on any unwaived violation.
 
 pub mod config;
 pub mod lexer;
@@ -131,8 +132,6 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         diags.extend(rules::error_policy::check(sf));
         diags.extend(rules::cast_soundness::check(sf));
         diags.extend(rules::kernel_purity::check(sf));
-        diags.extend(rules::kernel_bounds::check(sf));
-        diags.extend(rules::obs_purity::check(sf));
         diags.extend(rules::doc_coverage::check(sf));
     }
     diags.extend(rules::dependency_policy::check_workspace(root)?);

@@ -6,9 +6,7 @@ pub mod cast_soundness;
 pub mod dependency_policy;
 pub mod doc_coverage;
 pub mod error_policy;
-pub mod kernel_bounds;
 pub mod kernel_purity;
-pub mod obs_purity;
 pub mod panic_policy;
 pub mod safety_comments;
 

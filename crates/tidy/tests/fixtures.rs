@@ -217,154 +217,6 @@ fn kernel_ignores_cfg_test_allocations() {
     assert!(rules::kernel_purity::check(&sf).is_empty());
 }
 
-// ---- kernel-bounds ---------------------------------------------------
-
-#[test]
-fn bounds_flags_direct_counter_index() {
-    let sf = lib_file(include_str!("../fixtures/bounds_pos_index.rs"));
-    let diags = rules::kernel_bounds::check(&sf);
-    // `c[j]`, `a[j]` in the compare, `a[j]` in the store: one per line.
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags.iter().all(|d| d.rule == "kernel-bounds"));
-    assert_eq!(diags[0].line, 4);
-}
-
-#[test]
-fn bounds_flags_offset_counter_index() {
-    let sf = lib_file(include_str!("../fixtures/bounds_pos_offset.rs"));
-    let diags = rules::kernel_bounds::check(&sf);
-    assert_eq!(diags.len(), 3, "{diags:?}");
-    assert!(diags[0].message.contains("c_row + j"), "{}", diags[0].message);
-}
-
-#[test]
-fn bounds_accepts_zip_style_loop() {
-    let sf = lib_file(include_str!("../fixtures/bounds_neg_zip.rs"));
-    assert!(rules::kernel_bounds::check(&sf).is_empty());
-}
-
-#[test]
-fn bounds_ignores_unmarked_files() {
-    let sf = lib_file(include_str!("../fixtures/bounds_neg_unmarked.rs"));
-    assert!(rules::kernel_bounds::check(&sf).is_empty());
-}
-
-#[test]
-fn bounds_honors_waiver() {
-    let sf = lib_file(include_str!("../fixtures/bounds_neg_waiver.rs"));
-    assert!(rules::kernel_bounds::check(&sf).is_empty());
-}
-
-#[test]
-fn bounds_skips_method_and_range_indices() {
-    let sf = lib_file(include_str!("../fixtures/bounds_neg_method.rs"));
-    assert!(rules::kernel_bounds::check(&sf).is_empty());
-}
-
-#[test]
-fn bounds_ignores_cfg_test_loops() {
-    let sf = lib_file(include_str!("../fixtures/bounds_neg_cfg_test.rs"));
-    assert!(rules::kernel_bounds::check(&sf).is_empty());
-}
-
-// ---- obs-purity ------------------------------------------------------
-
-#[test]
-fn obs_flags_use_in_marked_file() {
-    let sf = lib_file(include_str!("../fixtures/obs_pos_use.rs"));
-    let diags = rules::obs_purity::check(&sf);
-    // The `use cachegraph_obs::...` import is the single code reference.
-    assert_eq!(rules_of(&diags), ["obs-purity"]);
-    assert_eq!(diags[0].line, 3);
-}
-
-#[test]
-fn obs_flags_qualified_path_in_marked_file() {
-    let sf = lib_file(include_str!("../fixtures/obs_pos_path.rs"));
-    assert_eq!(rules::obs_purity::check(&sf).len(), 1);
-}
-
-#[test]
-fn obs_accepts_doc_mentions_in_marked_file() {
-    let sf = lib_file(include_str!("../fixtures/obs_neg_clean.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_ignores_unmarked_files() {
-    let sf = lib_file(include_str!("../fixtures/obs_neg_unmarked.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_ignores_cfg_test_references() {
-    let sf = lib_file(include_str!("../fixtures/obs_neg_test_use.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_waiver_suppresses_report() {
-    let sf = lib_file(include_str!("../fixtures/obs_neg_waiver.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_flags_registry_reference_inside_event_callback() {
-    // A hook closure is still kernel code: reporting into
-    // cachegraph_obs from inside it must be flagged.
-    let sf = lib_file(include_str!("../fixtures/obs_pos_event_hook.rs"));
-    let diags = rules::obs_purity::check(&sf);
-    assert_eq!(rules_of(&diags), ["obs-purity"]);
-}
-
-#[test]
-fn obs_flags_registry_reference_inside_cancel_closure() {
-    // A cancellation closure is still kernel code: polling a registry
-    // counter from inside it must be flagged.
-    let sf = lib_file(include_str!("../fixtures/obs_pos_cancel.rs"));
-    let diags = rules::obs_purity::check(&sf);
-    assert_eq!(rules_of(&diags), ["obs-purity"]);
-    assert_eq!(diags[0].line, 7, "the qualified path inside the function body");
-}
-
-#[test]
-fn obs_accepts_generic_cancel_hook_pattern() {
-    // The cancellation style the solvers' `_cancellable` variants use:
-    // kernel code polls a plain `FnMut() -> bool` and never names
-    // cachegraph_obs; the deadline lives with the caller.
-    let sf = lib_file(include_str!("../fixtures/obs_neg_cancel.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_flags_trace_builder_reference_in_kernel() {
-    // Request tracing is a serving-layer concern: a kernel that names
-    // the cachegraph_obs trace builder to stamp its own segments must
-    // be flagged.
-    let sf = lib_file(include_str!("../fixtures/obs_pos_trace.rs"));
-    let diags = rules::obs_purity::check(&sf);
-    assert_eq!(rules_of(&diags), ["obs-purity"]);
-    assert_eq!(diags[0].line, 8, "the qualified path inside the function body");
-}
-
-#[test]
-fn obs_accepts_generic_boundary_hook_for_tracing() {
-    // The handoff style the serve layer's trace marks ride on: kernel
-    // code reports phase boundaries through a plain FnMut and never
-    // names cachegraph_obs, so the marked file stays clean.
-    let sf = lib_file(include_str!("../fixtures/obs_neg_trace.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
-#[test]
-fn obs_accepts_generic_event_hook_pattern() {
-    // The event-callback style the hierarchy's profiler hooks use:
-    // kernel code emits plain enum events through a generic FnMut and
-    // never references cachegraph_obs, so the marked file stays clean.
-    let sf = lib_file(include_str!("../fixtures/obs_neg_event_hook.rs"));
-    assert!(rules::obs_purity::check(&sf).is_empty());
-}
-
 // ---- doc-coverage ----------------------------------------------------
 
 /// A fixture presented as facade-crate code (`src/`, crate `cachegraph`
