@@ -1,16 +1,18 @@
 //! Model checker for the parallel partitioned matching driver
 //! (`cachegraph_matching::parallel`).
 //!
-//! Re-executes the Fig. 9 pipeline serially: per-part local solves
+//! Re-executes the Fig. 9 pipeline serially on the shipped code: the
+//! drivers' carve ([`MatchingPartPlan`]), per-part local solves
 //! (recorded through [`find_matching_recorded`] on each sub-graph, the
-//! scripts lifted from local to global vertex ids), the serial merge,
-//! and the whole-graph global pass (recorded as the single task of its
-//! own phase). The declared [`MatchingPartPlan`] footprints are proven
-//! disjoint (oracle) and both phases are replayed against shadow memory
-//! over enumerated/sampled interleavings. In mutation mode the barrier
-//! between the local and global phases is omitted — the global pass's
-//! free-left scan then reads `mate` entries the local solves wrote in
-//! the same epoch, which the shadow must flag on every schedule.
+//! scripts lifted from local to global vertex ids), the drivers' merge
+//! ([`merge_local`], in part order), and the whole-graph global pass
+//! (recorded as the single task of its own phase). The plan's declared
+//! footprints are proven disjoint (oracle) and both phases are replayed
+//! against shadow memory over enumerated/sampled interleavings. In
+//! mutation mode the barrier between the local and global phases is
+//! omitted — the global pass's free-left scan then reads `mate` entries
+//! the local solves wrote in the same epoch, which the shadow must flag
+//! on every schedule.
 //!
 //! Drift guard: the serially re-executed matching must be bit-identical
 //! (`mate` array included) to both the serial partitioned driver and
@@ -19,7 +21,7 @@
 use cachegraph_graph::{generators, AdjacencyArray, Edge};
 use cachegraph_matching::{
     find_matching_partitioned, find_matching_partitioned_parallel, find_matching_recorded,
-    Matching, MatchingPartPlan, PartitionScheme, FREE,
+    merge_local, Matching, MatchingPartPlan, PartitionScheme,
 };
 use cachegraph_rng::StdRng;
 
@@ -98,19 +100,11 @@ pub fn check_matching_on(
         solves[k] = Some(local);
     }
 
-    // Serial merge in part order — the drivers' exact statements
-    // (`merge_local` is crate-private to `cachegraph-matching`; the
-    // drift guard below pins this copy against divergence).
+    // Serial merge in part order, with the drivers' own merge.
     let mut union = Matching::empty(n);
     for (part, solved) in plan.parts.iter().zip(&solves) {
         if let Some(local) = solved {
-            for (lv, &gv) in part.members.iter().enumerate() {
-                let lm = local.mate[lv];
-                if lm != FREE {
-                    union.mate[gv as usize] = part.members[lm as usize];
-                }
-            }
-            union.size += local.size;
+            merge_local(part, local, &mut union);
         }
     }
 

@@ -259,8 +259,12 @@ fn cmd_apsp(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let n = b.num_vertices();
     let costs = b.build_matrix().costs().to_vec();
     let algo = args.get_or("algo", "recursive");
-    let block: usize =
-        args.parse_or("block", select_block_size(32 * 1024, 8, 4).estimate.min(n), "integer")?;
+    // An empty graph still gets a one-cell tile, as every layout needs.
+    let default_block = select_block_size(32 * 1024, 8, 4).estimate.min(n).max(1);
+    let block: usize = args.parse_or("block", default_block, "integer")?;
+    if block == 0 {
+        return Err(CliError::Usage("--block must be at least 1".into()));
+    }
     let registry = metrics_registry(&args);
     let t0 = Instant::now();
     let dist = match algo {
@@ -325,6 +329,9 @@ fn cmd_match(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Invalid("matching expects an even vertex count (left = first half)".into()));
     }
     let parts: usize = args.parse_or("parts", 8, "integer")?;
+    if parts == 0 {
+        return Err(CliError::Usage("--parts must be at least 1".into()));
+    }
     let g = b.build_array();
     let registry = metrics_registry(&args);
     let root = registry.span("cli.match");
@@ -379,6 +386,9 @@ fn cmd_closure(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_simulate(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let b = load(&args)?;
     let source: u32 = args.parse_or("source", 0, "vertex id")?;
+    if source as usize >= b.num_vertices() {
+        return Err(CliError::Invalid(format!("source {source} out of range")));
+    }
     let machine = args.get_or("machine", "simplescalar");
     let cfg = match machine {
         "simplescalar" => profiles::simplescalar(),
@@ -1710,13 +1720,34 @@ mod tests {
                 other => panic!("{flags:?}: expected a usage error, got {other:?}"),
             }
         }
-        // n = 0 is an empty graph, not an error.
+        // n = 0 is an empty graph, not an error: every APSP algo runs on
+        // it, and a simulation has no source to start from.
         run_str("gen", &["--kind", "random", "--n", "0", "-o", &path]).expect("gen n = 0");
+        for algo in ["iterative", "recursive", "tiled"] {
+            let report = run_str("apsp", &["-i", &path, "--algo", algo]).expect(algo);
+            assert!(report.contains("over 0 vertices"), "{algo}: {report}");
+        }
+        assert!(matches!(run_str("simulate", &["-i", &path]), Err(CliError::Invalid(_))));
         run_str("gen", &["--kind", "random", "--n", "8", "-o", &path]).expect("gen");
-        assert!(matches!(
-            run_str("sssp", &["-i", &path, "--source", "99"]),
-            Err(CliError::Invalid(_))
-        ));
+        // A zero size is a usage error named by its flag.
+        for (cmd, flags, flag) in [
+            ("match", &["--parts", "0"][..], "--parts"),
+            ("apsp", &["--block", "0"][..], "--block"),
+            ("apsp", &["--algo", "tiled", "--block", "0"][..], "--block"),
+        ] {
+            let args: Vec<&str> =
+                ["-i", path.as_str()].into_iter().chain(flags.iter().copied()).collect();
+            match run_str(cmd, &args) {
+                Err(CliError::Usage(m)) => assert!(m.contains(flag), "{cmd} {flags:?}: {m}"),
+                other => panic!("{cmd} {flags:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        for cmd in ["sssp", "simulate"] {
+            assert!(matches!(
+                run_str(cmd, &["-i", &path, "--source", "99"]),
+                Err(CliError::Invalid(_))
+            ));
+        }
         assert!(matches!(
             run_str("sssp", &["-i", &path, "--algo", "quantum"]),
             Err(CliError::Invalid(_))

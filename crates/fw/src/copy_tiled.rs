@@ -12,7 +12,6 @@ use cachegraph_layout::{Layout, RowMajor};
 
 use crate::kernel::{fwi, View};
 use crate::matrix::FwMatrix;
-use crate::observed::FwEvent;
 
 /// Identifies which of the three scratch buffers a tile operand uses.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -69,25 +68,13 @@ impl Scratch {
 
 /// Run FWI on scratch copies of the three tiles, preserving aliasing:
 /// operands that refer to the same tile share one scratch slot, so the
-/// in-place update semantics of the aliased kernel are kept. The hook
-/// sees one [`FwEvent::TileCopy`] per tile copied in or out and one
-/// [`FwEvent::Kernel`] per kernel call.
-fn fwi_copied(
-    data: &mut [Weight],
-    scratch: &mut Scratch,
-    a: View,
-    bt: View,
-    ct: View,
-    b: usize,
-    hook: &mut impl FnMut(FwEvent),
-) {
+/// in-place update semantics of the aliased kernel are kept.
+fn fwi_copied(data: &mut [Weight], scratch: &mut Scratch, a: View, bt: View, ct: View, b: usize) {
     scratch.copy_in(data, a, Operand::A);
-    hook(FwEvent::TileCopy);
     let b_op = if bt == a {
         Operand::A
     } else {
         scratch.copy_in(data, bt, Operand::B);
-        hook(FwEvent::TileCopy);
         Operand::B
     };
     let c_op = if ct == a {
@@ -96,31 +83,17 @@ fn fwi_copied(
         b_op
     } else {
         scratch.copy_in(data, ct, Operand::C);
-        hook(FwEvent::TileCopy);
         Operand::C
     };
     let (va, vb, vc) = (scratch.view(Operand::A), scratch.view(b_op), scratch.view(c_op));
-    hook(FwEvent::Kernel);
     fwi(&mut scratch.data, va, vb, vc, b);
     scratch.copy_out(data, a, Operand::A);
-    hook(FwEvent::TileCopy);
 }
 
 /// Tiled Floyd-Warshall over a **row-major** matrix with per-tile
 /// copy-in/copy-out. Same phase structure and result as
 /// [`fw_tiled`](crate::fw_tiled).
 pub fn fw_tiled_copy(m: &mut FwMatrix<RowMajor>, b: usize) {
-    fw_tiled_copy_with(m, b, &mut |_| {});
-}
-
-/// [`fw_tiled_copy`] with an event hook for observability — the observed
-/// variant counts tile copies, the `O(B²)` cost this implementation pays
-/// that the Block Data Layout avoids.
-pub fn fw_tiled_copy_with(
-    m: &mut FwMatrix<RowMajor>,
-    b: usize,
-    hook: &mut impl FnMut(FwEvent),
-) {
     let p = m.padded_n();
     let n = m.n();
     assert!(b >= 1 && p.is_multiple_of(b), "matrix size {p} must be a multiple of the tile size {b}");
@@ -132,19 +105,18 @@ pub fn fw_tiled_copy_with(
     let mut scratch = Scratch::new(b);
     let data = m.storage_mut();
     for t in 0..real_tiles {
-        hook(FwEvent::BlockStart(t));
         let diag = view(t, t);
-        fwi_copied(data, &mut scratch, diag, diag, diag, b, hook);
+        fwi_copied(data, &mut scratch, diag, diag, diag, b);
         for j in 0..real_tiles {
             if j != t {
                 let a = view(t, j);
-                fwi_copied(data, &mut scratch, a, diag, a, b, hook);
+                fwi_copied(data, &mut scratch, a, diag, a, b);
             }
         }
         for i in 0..real_tiles {
             if i != t {
                 let a = view(i, t);
-                fwi_copied(data, &mut scratch, a, a, diag, b, hook);
+                fwi_copied(data, &mut scratch, a, a, diag, b);
             }
         }
         for i in 0..real_tiles {
@@ -156,7 +128,7 @@ pub fn fw_tiled_copy_with(
                 if j == t {
                     continue;
                 }
-                fwi_copied(data, &mut scratch, view(i, j), bt, view(t, j), b, hook);
+                fwi_copied(data, &mut scratch, view(i, j), bt, view(t, j), b);
             }
         }
     }

@@ -66,17 +66,14 @@ pub use closure_parallel::{
     close_band, closure_band_plan, propagate_row, transitive_closure_tiled_parallel,
     transitive_closure_tiled_parallel_cancellable, ClosureBandPlan, FwCancelled,
 };
-pub use copy_tiled::{fw_tiled_copy, fw_tiled_copy_with};
+pub use copy_tiled::fw_tiled_copy;
 pub use cachegraph_graph::{Weight, INF};
 pub use iterative::{fw_iterative, fw_iterative_slice};
 pub use kernel::{fwi, fwi_access, fwi_instance, CellAccess, SliceAccess, StridedView, View};
 pub use matrix::FwMatrix;
 pub use paths::{extract_path, fw_iterative_with_paths, PathMatrix, NO_PRED};
 pub use record::RecordingAccess;
-pub use observed::{
-    fw_iterative_observed, fw_recursive_observed, fw_tiled_copy_observed, fw_tiled_observed,
-    FwEvent,
-};
+pub use observed::{fw_iterative_observed, fw_recursive_observed, fw_tiled_observed, FwEvent};
 pub use recursive::{fw_recursive, run_recursive, run_recursive_with};
 pub use tiled::{fw_tiled, run_tiled, run_tiled_with};
 

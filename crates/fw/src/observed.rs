@@ -8,15 +8,12 @@
 //! kernel calls, at tile/base-case granularity.
 //!
 //! Span naming (see EXPERIMENTS.md): roots are `fw.<variant>`
-//! (`fw.iterative`, `fw.tiled`, `fw.recursive`, `fw.copy`,
-//! `fw.parallel`); the tiled variants open one `tile[t]` (or `block[t]`)
-//! child per block iteration. Counters: `fw.kernel_calls`,
-//! `fw.base_case_hits`, `fw.tile_copies`.
+//! (`fw.iterative`, `fw.tiled`, `fw.recursive`, `fw.parallel`); the
+//! tiled variants open one `tile[t]` (or `block[t]`) child per block
+//! iteration. Counters: `fw.kernel_calls`, `fw.base_case_hits`.
 
-use cachegraph_layout::RowMajor;
 use cachegraph_obs::{Registry, Span};
 
-use crate::copy_tiled::fw_tiled_copy_with;
 use crate::kernel::{SliceAccess, StridedView};
 use crate::matrix::FwMatrix;
 use crate::recursive::run_recursive_with;
@@ -33,9 +30,6 @@ pub enum FwEvent {
     Kernel,
     /// The recursion bottomed out in a base-case kernel.
     BaseCase,
-    /// One tile copied between the matrix and a scratch buffer
-    /// (copy-optimized tiled variant only).
-    TileCopy,
     /// The recursive decomposition entered a node at this depth (root
     /// call = 0, base cases deepest). Balanced with
     /// [`RecurseLeave`](Self::RecurseLeave) per non-skipped node, so a
@@ -66,10 +60,7 @@ pub fn fw_tiled_observed<L: StridedView>(m: &mut FwMatrix<L>, b: usize, registry
     run_tiled_with(&layout, n, &mut SliceAccess(m.storage_mut()), b, &mut |ev| match ev {
         FwEvent::BlockStart(t) => tile_span = Some(root.child(&format!("tile[{t}]"))),
         FwEvent::Kernel => kernel_calls.incr(),
-        FwEvent::BaseCase
-        | FwEvent::TileCopy
-        | FwEvent::RecurseEnter(_)
-        | FwEvent::RecurseLeave(_) => {}
+        FwEvent::BaseCase | FwEvent::RecurseEnter(_) | FwEvent::RecurseLeave(_) => {}
     });
 }
 
@@ -87,22 +78,6 @@ pub fn fw_recursive_observed<L: StridedView>(m: &mut FwMatrix<L>, base: usize, r
             base_cases.incr();
             kernel_calls.incr();
         }
-    });
-}
-
-/// [`fw_tiled_copy`](crate::fw_tiled_copy) reporting into `registry`: a
-/// `fw.copy` root span, one `tile[t]` child per block iteration, and the
-/// `fw.kernel_calls` / `fw.tile_copies` counters.
-pub fn fw_tiled_copy_observed(m: &mut FwMatrix<RowMajor>, b: usize, registry: &Registry) {
-    let root = registry.span("fw.copy");
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let tile_copies = registry.counter("fw.tile_copies");
-    let mut tile_span: Option<Span> = None;
-    fw_tiled_copy_with(m, b, &mut |ev| match ev {
-        FwEvent::BlockStart(t) => tile_span = Some(root.child(&format!("tile[{t}]"))),
-        FwEvent::Kernel => kernel_calls.incr(),
-        FwEvent::TileCopy => tile_copies.incr(),
-        FwEvent::BaseCase | FwEvent::RecurseEnter(_) | FwEvent::RecurseLeave(_) => {}
     });
 }
 
@@ -171,27 +146,6 @@ mod tests {
         // (n/base)^3 base-case kernels, none skipped (no padding here).
         let tiles = (n / base) as u64;
         assert_eq!(snap.counters.get("fw.base_case_hits"), Some(&(tiles * tiles * tiles)));
-    }
-
-    #[test]
-    fn observed_copy_counts_tile_copies() {
-        let n = 8;
-        let b = 4;
-        let costs = random_costs(n, 0.4, 3);
-        let mut expect = costs.clone();
-        fw_iterative_slice(&mut expect, n);
-
-        let reg = Registry::new();
-        let mut m = FwMatrix::from_costs(RowMajor::new(n), &costs);
-        fw_tiled_copy_observed(&mut m, b, &reg);
-        assert_eq!(m.to_row_major(), expect);
-
-        let snap = reg.snapshot();
-        let copies = *snap.counters.get("fw.tile_copies").expect("copies counted");
-        let kernels = *snap.counters.get("fw.kernel_calls").expect("kernels counted");
-        // Every kernel call copies at least A in and A out.
-        assert_eq!(kernels, 8); // 2x2 tile grid, 4 calls per iteration, 2 iterations
-        assert!(copies >= 2 * kernels, "copies {copies} vs kernels {kernels}");
     }
 
     #[test]

@@ -13,20 +13,27 @@
 //! maximum matching with far less work; it is *not* the paper's baseline
 //! — it exists as an extension and as a differential-testing oracle.
 //!
-//! One private loop runs Fig. 8 for three entry points: the plain
+//! One private loop runs Fig. 8 for every matching run: the plain
 //! [`find_matching`], [`find_matching_recorded`] (every `mate` access
-//! reported to a [`UnitSink`]), and [`find_matching_cancellable`] for
-//! deadline-propagating callers. The cancellable one polls a plain
-//! `FnMut() -> bool` *between* augmentation rounds — the natural
-//! boundary: each round is one whole-graph BFS plus one path flip, so
-//! the matching is structurally consistent (just not yet maximum)
-//! whenever the poll fires, and the partial matching is returned
-//! alongside the marker. This crate never references the observability
-//! layer (obs-purity — see the `obs_*_cancel.rs` fixture pair in
-//! `cachegraph-tidy`); the per-round poll is also the unit of the serve
-//! layer's `cancel_polls` trace tag.
+//! reported to a [`UnitSink`]), [`find_matching_cancellable`] for
+//! deadline-propagating callers, and the cache simulation of
+//! [`instrumented`](crate::instrumented). Each caller supplies two hooks.
+//! The round reports every array access to a sink as an (array, index)
+//! pair: the simulation maps it to a simulated address, the recorder
+//! keeps the `mate` units, and the plain runs' sink compiles away. The
+//! loop polls a plain `FnMut() -> bool` *between* augmentation rounds,
+//! once per round: the cancellable run checks its deadline there and
+//! the simulation counts searches. Each round is one whole-graph BFS
+//! plus one path flip, so the matching is structurally consistent
+//! (just not yet maximum) whenever the poll fires, and a cancelled run
+//! returns the partial matching alongside the marker. Both hooks are
+//! plain generics, so this module never references the observability
+//! layer (the obs-purity fixture pair `obs_pos_cancel.rs` /
+//! `obs_neg_cancel.rs` in `cachegraph-tidy` documents this seam); the
+//! per-round poll is also the unit of the serve layer's `cancel_polls`
+//! trace tag.
 
-use cachegraph_graph::{Graph, VertexId};
+use cachegraph_graph::{AdjacencyArray, Graph, VertexId};
 use cachegraph_plan::{NoSink, UnitSink};
 
 use crate::FREE;
@@ -87,53 +94,118 @@ impl AugmentScratch {
     }
 }
 
+/// The arrays one Fig. 8 round touches, in the order the cache
+/// simulation lays them out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RoundArray {
+    /// The CSR offset array.
+    Offsets,
+    /// The CSR arc array.
+    Arcs,
+    /// The matching's `mate` array.
+    Mate,
+    /// The BFS parent of each reached right vertex.
+    Parent,
+    /// The visit marks.
+    Visited,
+    /// The BFS queue of left vertices.
+    Queue,
+}
+
+/// Observes every array access of a Fig. 8 round as an (array, index)
+/// pair, in program order. The cache simulation maps each pair to a
+/// simulated address; [`MateUnits`] forwards the `mate` accesses to a
+/// [`UnitSink`].
+pub(crate) trait RoundSink {
+    /// The round read `array[index]`.
+    fn read(&mut self, array: RoundArray, index: usize);
+    /// The round wrote `array[index]`.
+    fn write(&mut self, array: RoundArray, index: usize);
+}
+
+/// Reports a round's `mate` accesses to a [`UnitSink`] (unit = vertex
+/// id) and drops the rest; with [`NoSink`] every hook compiles away.
+struct MateUnits<'s, S>(&'s mut S);
+
+impl<S: UnitSink> RoundSink for MateUnits<'_, S> {
+    #[inline(always)]
+    fn read(&mut self, array: RoundArray, index: usize) {
+        if array == RoundArray::Mate {
+            self.0.read(index as u64);
+        }
+    }
+
+    #[inline(always)]
+    fn write(&mut self, array: RoundArray, index: usize) {
+        if array == RoundArray::Mate {
+            self.0.write(index as u64);
+        }
+    }
+}
+
 /// One iteration of Fig. 8's loop: BFS from ALL free left vertices over
 /// alternating paths (unmatched edges left -> right, matched edges
 /// right -> left); if an augmenting path exists, flip it and grow `m`
 /// by one. Returns `false` when no augmenting path exists (`m` is
 /// maximum).
 ///
-/// Every access to the `mate` array is reported to `sink` (unit =
-/// vertex id). `cachegraph-check`'s matching driver records these
-/// scripts to replay augmentation rounds against shadow memory, and the
-/// differential footprint test compares them with the declared per-part
-/// footprints. The sink is observational only: with [`NoSink`] this
-/// compiles to exactly the un-instrumented round.
-fn augment_once<G: Graph, S: UnitSink>(
-    g: &G,
+/// Every array access is reported to `sink` just before it happens.
+/// The sink is observational only: with [`MateUnits`] over [`NoSink`]
+/// this compiles to the un-instrumented round.
+fn augment_once<S: RoundSink>(
+    g: &AdjacencyArray,
     n_left: usize,
     m: &mut Matching,
     s: &mut AugmentScratch,
     sink: &mut S,
 ) -> bool {
+    use RoundArray::{Arcs, Mate, Offsets, Parent, Queue, Visited};
+    for v in 0..s.visited.len() {
+        sink.write(Visited, v);
+    }
     s.visited.fill(false);
     s.queue.clear();
     for (u, &mate) in m.mate.iter().enumerate().take(n_left) {
-        sink.read(u as u64);
+        sink.read(Mate, u);
         if mate == FREE {
+            sink.write(Visited, u);
             s.visited[u] = true;
+            sink.write(Queue, s.queue.len());
             s.queue.push(u as VertexId);
         }
     }
+    let (offsets, arcs) = (g.offsets(), g.arcs());
     let mut head = 0;
     let mut endpoint = None;
     'search: while head < s.queue.len() {
-        let u = s.queue[head];
+        sink.read(Queue, head);
+        let u = s.queue[head] as usize;
         head += 1;
-        for (r, _) in g.neighbors(u) {
-            if s.visited[r as usize] {
+        sink.read(Offsets, u);
+        sink.read(Offsets, u + 1);
+        let lo = offsets[u] as usize;
+        for (i, a) in arcs[lo..offsets[u + 1] as usize].iter().enumerate() {
+            sink.read(Arcs, lo + i);
+            let r = a.to as usize;
+            sink.read(Visited, r);
+            if s.visited[r] {
                 continue;
             }
-            s.visited[r as usize] = true;
-            s.parent[r as usize] = u;
-            sink.read(r as u64);
-            let rm = m.mate[r as usize];
+            sink.write(Visited, r);
+            s.visited[r] = true;
+            sink.write(Parent, r);
+            s.parent[r] = u as VertexId;
+            sink.read(Mate, r);
+            let rm = m.mate[r];
             if rm == FREE {
                 endpoint = Some(r);
                 break 'search;
             }
+            sink.read(Visited, rm as usize);
             if !s.visited[rm as usize] {
+                sink.write(Visited, rm as usize);
                 s.visited[rm as usize] = true;
+                sink.write(Queue, s.queue.len());
                 s.queue.push(rm);
             }
         }
@@ -143,17 +215,18 @@ fn augment_once<G: Graph, S: UnitSink>(
     };
     // Flip the alternating path back to its free left origin.
     loop {
-        let left = s.parent[right as usize];
-        sink.read(left as u64);
-        let next_right = m.mate[left as usize];
-        sink.write(right as u64);
-        sink.write(left as u64);
-        m.mate[right as usize] = left;
-        m.mate[left as usize] = right;
+        sink.read(Parent, right);
+        let left = s.parent[right] as usize;
+        sink.read(Mate, left);
+        let next_right = m.mate[left];
+        sink.write(Mate, right);
+        sink.write(Mate, left);
+        m.mate[right] = left as VertexId;
+        m.mate[left] = right as VertexId;
         if next_right == FREE {
             break; // reached the free left endpoint
         }
-        right = next_right;
+        right = next_right as usize;
     }
     m.size += 1;
     true
@@ -177,9 +250,10 @@ impl std::error::Error for MatchCancelled {}
 
 /// The Fig. 8 loop behind every entry point: poll `cancel`, then run one
 /// augmentation round reporting to `sink`, until no augmenting path is
-/// left. The last round is the failed search that proves maximality.
-fn fig8<G: Graph, S: UnitSink>(
-    g: &G,
+/// left. The last round is the failed search that proves maximality, so
+/// `cancel` is polled once per round, that one included.
+pub(crate) fn fig8<S: RoundSink>(
+    g: &AdjacencyArray,
     n_left: usize,
     initial: Matching,
     sink: &mut S,
@@ -203,32 +277,33 @@ fn fig8<G: Graph, S: UnitSink>(
 /// `FindMatching(G, M)` of Fig. 8: repeat a whole-graph BFS for one
 /// augmenting path and flip it, until no augmenting path exists. Left
 /// vertices are `0..n_left`. Returns the (maximum) matching.
-pub fn find_matching<G: Graph>(g: &G, n_left: usize, initial: Matching) -> Matching {
-    fig8(g, n_left, initial, &mut NoSink, &mut || false).unwrap_or_else(|c| c.partial)
+pub fn find_matching(g: &AdjacencyArray, n_left: usize, initial: Matching) -> Matching {
+    fig8(g, n_left, initial, &mut MateUnits(&mut NoSink), &mut || false)
+        .unwrap_or_else(|c| c.partial)
 }
 
 /// [`find_matching`] with every `mate` access reported to a
 /// [`UnitSink`] (unit = vertex id): the Fig. 8 loop, plus one trailing
 /// no-op round (the failed search that proves maximality), exactly as
 /// the plain driver executes it.
-pub fn find_matching_recorded<G: Graph, S: UnitSink>(
-    g: &G,
+pub fn find_matching_recorded<S: UnitSink>(
+    g: &AdjacencyArray,
     n_left: usize,
     initial: Matching,
     sink: &mut S,
 ) -> Matching {
-    fig8(g, n_left, initial, sink, &mut || false).unwrap_or_else(|c| c.partial)
+    fig8(g, n_left, initial, &mut MateUnits(sink), &mut || false).unwrap_or_else(|c| c.partial)
 }
 
 /// [`find_matching`] with a cancellation poll between augmentation
 /// rounds.
-pub fn find_matching_cancellable<G: Graph>(
-    g: &G,
+pub fn find_matching_cancellable(
+    g: &AdjacencyArray,
     n_left: usize,
     initial: Matching,
     cancel: &mut impl FnMut() -> bool,
 ) -> Result<Matching, MatchCancelled> {
-    fig8(g, n_left, initial, &mut NoSink, cancel)
+    fig8(g, n_left, initial, &mut MateUnits(&mut NoSink), cancel)
 }
 
 /// Scratch space for [`find_matching_fast`], reused across searches.

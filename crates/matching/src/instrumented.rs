@@ -1,21 +1,23 @@
 //! Cache-simulated matching runs (Table 8).
 //!
-//! Both phases of both implementations run entirely on traced storage:
-//! CSR offsets and targets, the mate array, and the BFS machinery (queue,
-//! parent array, visit stamps). The partitioned variant allocates each
-//! sub-problem's structures in the same simulated address space, so the
-//! working-set contraction the paper relies on is exactly what the
-//! simulator sees.
+//! Both implementations execute the shipped code: the Fig. 8 loop of
+//! [`find_matching`](crate::find_matching), and for Fig. 9 the carve
+//! ([`build_local_parts`]) and merge ([`merge_local`]) of
+//! [`find_matching_partitioned`](crate::find_matching_partitioned). The
+//! round reports each access as an (array, index) pair to a sink that
+//! replays it against a [`MemoryHierarchy`], with one page-aligned
+//! buffer per array and (sub-)problem in one simulated address space,
+//! so the working-set contraction the paper relies on is exactly what
+//! the simulator sees.
 
-use cachegraph_graph::{AdjacencyArray, Edge, VertexId};
-use cachegraph_obs::{Counter, Registry};
+use cachegraph_graph::{AdjacencyArray, Edge, Graph};
+use cachegraph_obs::Registry;
 use cachegraph_sim::{
     AddressSpace, CacheProfile, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProfilerOptions,
-    TracedBuffer,
 };
 
-use crate::partitioned::PartitionScheme;
-use crate::FREE;
+use crate::augmenting::{fig8, Matching, RoundArray, RoundSink};
+use crate::partitioned::{build_local_parts, merge_local, PartitionScheme};
 
 /// Result of one simulated matching run.
 #[derive(Clone, Debug)]
@@ -29,127 +31,42 @@ pub struct MatchSimResult {
     pub profile: Option<CacheProfile>,
 }
 
-/// CSR arrays for one (sub-)problem, in simulated memory.
-struct TracedCsr {
-    offsets: TracedBuffer<u32>,
-    targets: TracedBuffer<u32>,
+/// Replays a Fig. 8 round's accesses against the hierarchy: one buffer
+/// per [`RoundArray`], allocated in declaration order. An arc is a
+/// 4-byte target (the matcher reads no weight) and a visit mark one
+/// byte; every other element is 4 bytes.
+struct SimSink<'h> {
+    hier: &'h mut MemoryHierarchy,
+    base: [u64; 6],
 }
 
-impl TracedCsr {
-    fn build(space: &mut AddressSpace, n: usize, n_left: usize, edges: &[Edge]) -> Self {
-        // Build untraced (construction is O(E) against the algorithm's
-        // O(N·E); the paper measures the matching computation itself).
-        let mut degree = vec![0u32; n + 1];
-        for e in edges {
-            degree[e.from as usize + 1] += 1;
-        }
-        for v in 0..n {
-            degree[v + 1] += degree[v];
-        }
-        let mut cursor = degree.clone();
-        let mut targets = vec![0u32; edges.len()];
-        for e in edges {
-            let c = &mut cursor[e.from as usize];
-            targets[*c as usize] = e.to;
-            *c += 1;
-        }
-        let _ = n_left;
-        Self { offsets: space.adopt(degree), targets: space.adopt(targets) }
+impl<'h> SimSink<'h> {
+    /// Place the arrays of a problem on `n` vertices with room for
+    /// `arcs` arcs.
+    fn new(hier: &'h mut MemoryHierarchy, space: &mut AddressSpace, n: usize, arcs: usize) -> Self {
+        let lens = [n + 1, arcs, n, n, n, n];
+        let base = std::array::from_fn(|a| space.alloc(((lens[a] * ELEM_BYTES[a]) as u64).max(1)));
+        Self { hier, base }
+    }
+
+    fn addr(&self, array: RoundArray, index: usize) -> (u64, usize) {
+        let bytes = ELEM_BYTES[array as usize];
+        (self.base[array as usize] + (index * bytes) as u64, bytes)
     }
 }
 
-/// The traced augmenting-path matcher, mirroring the faithful baseline
-/// `crate::find_matching` operation-for-operation: one whole-graph BFS
-/// (from all free left vertices) per augmentation, visit marks cleared
-/// before every search — the `O(N·E)` behaviour the paper measures.
-struct TracedMatcher {
-    mate: TracedBuffer<u32>,
-    parent: TracedBuffer<u32>,
-    visited: TracedBuffer<u8>,
-    queue: TracedBuffer<u32>,
-    size: usize,
-}
+/// Simulated element size per [`RoundArray`], in declaration order.
+const ELEM_BYTES: [usize; 6] = [4, 4, 4, 4, 1, 4];
 
-impl TracedMatcher {
-    fn new(space: &mut AddressSpace, n: usize, initial_mate: Vec<u32>, size: usize) -> Self {
-        assert_eq!(initial_mate.len(), n);
-        Self {
-            mate: space.adopt(initial_mate),
-            parent: space.alloc_traced(n),
-            visited: space.alloc_traced(n),
-            queue: space.alloc_traced(n),
-            size,
-        }
+impl RoundSink for SimSink<'_> {
+    fn read(&mut self, array: RoundArray, index: usize) {
+        let (addr, bytes) = self.addr(array, index);
+        self.hier.read(addr, bytes);
     }
 
-    /// Run to a maximum matching. `searches` counts BFS phases (one per
-    /// loop iteration, including the final failed one); `aug_paths`
-    /// counts successful augmentations. Disabled counters cost a branch.
-    fn run(
-        &mut self,
-        h: &mut MemoryHierarchy,
-        g: &TracedCsr,
-        n_left: usize,
-        searches: &Counter,
-        aug_paths: &Counter,
-    ) {
-        let n = self.mate.len();
-        loop {
-            searches.incr();
-            // Clear marks and seed the BFS with every free left vertex.
-            for v in 0..n {
-                self.visited.write(h, v, 0);
-            }
-            let mut len = 0usize;
-            for u in 0..n_left {
-                if self.mate.read(h, u) == FREE {
-                    self.visited.write(h, u, 1);
-                    self.queue.write(h, len, u as VertexId);
-                    len += 1;
-                }
-            }
-            let mut head = 0usize;
-            let mut endpoint = None;
-            'search: while head < len {
-                let u = self.queue.read(h, head);
-                head += 1;
-                let lo = g.offsets.read(h, u as usize) as usize;
-                let hi = g.offsets.read(h, u as usize + 1) as usize;
-                for i in lo..hi {
-                    let r = g.targets.read(h, i);
-                    if self.visited.read(h, r as usize) != 0 {
-                        continue;
-                    }
-                    self.visited.write(h, r as usize, 1);
-                    self.parent.write(h, r as usize, u);
-                    let rm = self.mate.read(h, r as usize);
-                    if rm == FREE {
-                        endpoint = Some(r);
-                        break 'search;
-                    }
-                    if self.visited.read(h, rm as usize) == 0 {
-                        self.visited.write(h, rm as usize, 1);
-                        self.queue.write(h, len, rm);
-                        len += 1;
-                    }
-                }
-            }
-            let Some(mut right) = endpoint else {
-                return; // maximum reached
-            };
-            loop {
-                let left = self.parent.read(h, right as usize);
-                let next_right = self.mate.read(h, left as usize);
-                self.mate.write(h, right as usize, left);
-                self.mate.write(h, left as usize, right);
-                if next_right == FREE {
-                    break;
-                }
-                right = next_right;
-            }
-            self.size += 1;
-            aug_paths.incr();
-        }
+    fn write(&mut self, array: RoundArray, index: usize) {
+        let (addr, bytes) = self.addr(array, index);
+        self.hier.write(addr, bytes);
     }
 }
 
@@ -160,7 +77,7 @@ pub fn sim_find_matching(
     edges: &[Edge],
     config: HierarchyConfig,
 ) -> MatchSimResult {
-    sim_find_matching_inner(n, n_left, edges, config, &Registry::disabled(), None)
+    simulate(n, n_left, edges, None, config, &Registry::disabled(), None)
 }
 
 /// [`sim_find_matching`] reporting into `registry` — a
@@ -176,31 +93,7 @@ pub fn sim_find_matching_profiled(
     options: ProfilerOptions,
     registry: &Registry,
 ) -> MatchSimResult {
-    sim_find_matching_inner(n, n_left, edges, config, registry, Some(options))
-}
-
-fn sim_find_matching_inner(
-    n: usize,
-    n_left: usize,
-    edges: &[Edge],
-    config: HierarchyConfig,
-    registry: &Registry,
-    profiler: Option<ProfilerOptions>,
-) -> MatchSimResult {
-    let _root = registry.span("matching.baseline");
-    let searches = registry.counter("matching.searches");
-    let aug_paths = registry.counter("matching.augmenting_paths");
-    let mut hier = MemoryHierarchy::new(config);
-    let scope =
-        profiler.map(|opts| hier.attach_profiler_with("matching.baseline", opts, registry));
-    let _root_scope = scope.as_ref().map(|s| s.enter("matching.baseline"));
-    let mut space = AddressSpace::new();
-    let csr = TracedCsr::build(&mut space, n, n_left, edges);
-    let mut matcher = TracedMatcher::new(&mut space, n, vec![FREE; n], 0);
-    matcher.run(&mut hier, &csr, n_left, &searches, &aug_paths);
-    let stats = hier.stats();
-    let profile = hier.take_profile();
-    MatchSimResult { stats, size: matcher.size, profile }
+    simulate(n, n_left, edges, None, config, registry, Some(options))
 }
 
 /// Simulate `CacheFriendlyFindMatching` (Fig. 9) under the given scheme.
@@ -211,7 +104,7 @@ pub fn sim_find_matching_partitioned(
     scheme: PartitionScheme,
     config: HierarchyConfig,
 ) -> MatchSimResult {
-    sim_find_matching_partitioned_inner(n, n_left, edges, scheme, config, &Registry::disabled(), None)
+    simulate(n, n_left, edges, Some(scheme), config, &Registry::disabled(), None)
 }
 
 /// [`sim_find_matching_partitioned`] reporting into `registry` — a
@@ -230,93 +123,66 @@ pub fn sim_find_matching_partitioned_profiled(
     options: ProfilerOptions,
     registry: &Registry,
 ) -> MatchSimResult {
-    sim_find_matching_partitioned_inner(n, n_left, edges, scheme, config, registry, Some(options))
+    simulate(n, n_left, edges, Some(scheme), config, registry, Some(options))
 }
 
-fn sim_find_matching_partitioned_inner(
+/// The run behind all four entries: the baseline when `scheme` is
+/// `None`, Fig. 9 under `scheme` otherwise. `matching.searches` counts
+/// Fig. 8's polls, one per round with the final failed one included;
+/// `matching.augmenting_paths` counts the rounds that grew the matching.
+fn simulate(
     n: usize,
     n_left: usize,
     edges: &[Edge],
-    scheme: PartitionScheme,
+    scheme: Option<PartitionScheme>,
     config: HierarchyConfig,
     registry: &Registry,
     profiler: Option<ProfilerOptions>,
 ) -> MatchSimResult {
-    let root = registry.span("matching.partitioned");
+    let name = if scheme.is_some() { "matching.partitioned" } else { "matching.baseline" };
+    let root = registry.span(name);
     let searches = registry.counter("matching.searches");
     let aug_paths = registry.counter("matching.augmenting_paths");
-    // The native drivers' vertex-to-part assignment, as untraced set-up;
-    // the traced CSRs below keep both arcs.
-    let (part, p) =
-        super::partitioned::assign_parts(&AdjacencyArray::from_edges(n, edges), n_left, scheme);
+    // The shipped CSR and carve, as untraced set-up.
+    let g = AdjacencyArray::from_edges(n, edges);
+    let parts = scheme.map_or_else(Vec::new, |s| build_local_parts(&g, n_left, s).0);
     let mut hier = MemoryHierarchy::new(config);
-    let scope =
-        profiler.map(|opts| hier.attach_profiler_with("matching.partitioned", opts, registry));
-    let _root_scope = scope.as_ref().map(|s| s.enter("matching.partitioned"));
+    let scope = profiler.map(|opts| hier.attach_profiler_with(name, opts, registry));
+    let _root_scope = scope.as_ref().map(|s| s.enter(name));
     let mut space = AddressSpace::new();
+    let mut run = |g: &AdjacencyArray, n_left: usize, arc_room: usize, initial: Matching| {
+        let from = initial.size;
+        let mut sink = SimSink::new(&mut hier, &mut space, g.num_vertices(), arc_room);
+        let mut poll = || {
+            searches.incr();
+            false
+        };
+        let m = fig8(g, n_left, initial, &mut sink, &mut poll).unwrap_or_else(|c| c.partial);
+        aug_paths.add((m.size - from) as u64);
+        m
+    };
 
-    // Local vertex numbering, left-first per part.
-    let mut local_id = vec![FREE; n];
-    let mut members: Vec<Vec<VertexId>> = vec![Vec::new(); p];
-    let mut left_count = vec![0usize; p];
-    for v in 0..n_left {
-        let k = part[v] as usize;
-        local_id[v] = left_count[k] as u32;
-        left_count[k] += 1;
-        members[k].push(v as VertexId);
-    }
-    for v in n_left..n {
-        let k = part[v] as usize;
-        local_id[v] = members[k].len() as u32;
-        members[k].push(v as VertexId);
-    }
-    let mut local_edges: Vec<Vec<Edge>> = vec![Vec::new(); p];
-    for e in edges {
-        if (e.from as usize) >= n_left {
-            continue;
-        }
-        let (kf, kt) = (part[e.from as usize] as usize, part[e.to as usize] as usize);
-        if kf == kt {
-            let l = local_id[e.from as usize];
-            let r = local_id[e.to as usize];
-            local_edges[kf].push(Edge::new(l, r, 1));
-            local_edges[kf].push(Edge::new(r, l, 1));
-        }
-    }
-
-    // Phase 1: traced local matchings.
-    let mut union = vec![FREE; n];
-    let mut union_size = 0usize;
-    for k in 0..p {
-        let n_local = members[k].len();
-        if n_local == 0 || local_edges[k].is_empty() {
-            continue;
-        }
+    // Fig. 9's local phase. A part's arc buffer has room for both arcs
+    // of each internal edge, as the paper's sub-graphs hold; the shipped
+    // part keeps the left arcs, which come first.
+    let mut union = Matching::empty(n);
+    for (k, part) in parts.iter().enumerate().filter(|(_, part)| !part.is_trivial()) {
         let _local = registry.is_enabled().then(|| root.child(&format!("local[{k}]")));
-        let _local_scope =
-            scope.as_ref().map(|s| s.enter(&format!("matching.partitioned/local[{k}]")));
-        let csr = TracedCsr::build(&mut space, n_local, left_count[k], &local_edges[k]);
-        let mut matcher = TracedMatcher::new(&mut space, n_local, vec![FREE; n_local], 0);
-        matcher.run(&mut hier, &csr, left_count[k], &searches, &aug_paths);
-        let mate = matcher.mate.into_inner();
-        for (lv, &gv) in members[k].iter().enumerate() {
-            if mate[lv] != FREE {
-                union[gv as usize] = members[k][mate[lv] as usize];
-            }
-        }
-        union_size += matcher.size;
+        let _local_scope = scope.as_ref().map(|s| s.enter(&format!("{name}/local[{k}]")));
+        let empty = Matching::empty(part.members.len());
+        let local = run(&part.graph, part.left_count, 2 * part.graph.num_edges(), empty);
+        merge_local(part, &local, &mut union);
     }
 
-    // Phase 2: traced global pass from the union.
-    let _global = registry.is_enabled().then(|| root.child("global"));
-    let _global_scope = scope.as_ref().map(|s| s.enter("matching.partitioned/global"));
-    let csr = TracedCsr::build(&mut space, n, n_left, edges);
-    let mut matcher = TracedMatcher::new(&mut space, n, union, union_size);
-    matcher.run(&mut hier, &csr, n_left, &searches, &aug_paths);
+    // The whole-graph pass: the baseline itself, or Fig. 9's clean-up
+    // from the union of the local matchings.
+    let _global = (scheme.is_some() && registry.is_enabled()).then(|| root.child("global"));
+    let _global_scope = scheme.and(scope.as_ref()).map(|s| s.enter(&format!("{name}/global")));
+    let m = run(&g, n_left, g.num_edges(), union);
     drop(_global_scope);
     let stats = hier.stats();
     let profile = hier.take_profile();
-    MatchSimResult { stats, size: matcher.size, profile }
+    MatchSimResult { stats, size: m.size, profile }
 }
 
 #[cfg(test)]

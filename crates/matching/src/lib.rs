@@ -58,7 +58,8 @@ pub use parallel::{
     MatchingPartPlan,
 };
 pub use partitioned::{
-    build_local_parts, find_matching_partitioned, LocalPart, PartitionScheme, PartitionedStats,
+    build_local_parts, find_matching_partitioned, merge_local, LocalPart, PartitionScheme,
+    PartitionedStats,
 };
 
 /// Sentinel for "unmatched".

@@ -5,16 +5,18 @@
 //! entries, so the per-part solves are independent tasks with disjoint
 //! declared footprints (unit `v` = `mate[v]`). This driver runs them on
 //! [`cachegraph_plan::run_tasks_mut`] scoped workers, merges the local
-//! matchings **serially in part order** (the exact statements of
-//! [`find_matching_partitioned`](crate::find_matching_partitioned)), and
-//! finishes with the same serial global pass — so the result, `mate`
-//! array included, is bit-identical to the serial partitioned driver for
-//! every thread count.
+//! matchings **serially in part order** with the serial driver's
+//! [`merge_local`], and finishes with the same serial global pass — so
+//! the result, `mate` array included, is bit-identical to
+//! [`find_matching_partitioned`](crate::find_matching_partitioned) for
+//! every thread count. The carve and the per-part solve are the serial
+//! driver's too ([`build_local_parts`], [`LocalPart::solve`]).
 //!
 //! The global pass is a single task whose footprint is the whole `mate`
 //! array; it must sit in its own phase. `cachegraph-check`'s matching
-//! driver proves the per-part footprints disjoint, replays recorded
-//! access scripts of both phases against shadow memory over many
+//! driver re-executes the same carve, solves and merge, records the
+//! `mate` accesses of both phases, proves the per-part footprints
+//! disjoint, replays the scripts against shadow memory over many
 //! interleavings, and detects the seeded mutation that merges the global
 //! pass into the local phase.
 

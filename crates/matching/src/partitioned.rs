@@ -1,5 +1,10 @@
 //! The cache-friendly matching implementation (Fig. 9):
 //! partition → solve locally → union → finish globally.
+//!
+//! The carve ([`build_local_parts`]) and merge ([`merge_local`]) here
+//! are the only ones: the parallel driver, the cache simulation and
+//! `cachegraph-check` run them too, and the serial
+//! [`find_matching_partitioned`] is the reference they compare against.
 
 use cachegraph_graph::{AdjacencyArray, Arc, Graph, VertexId};
 
@@ -28,34 +33,6 @@ pub struct PartitionedStats {
     pub internal_edges: usize,
     /// Number of parts used.
     pub parts: usize,
-}
-
-/// Assign each vertex of `g` to a part under `scheme`.
-pub(crate) fn assign_parts(
-    g: &AdjacencyArray,
-    n_left: usize,
-    scheme: PartitionScheme,
-) -> (Vec<u32>, usize) {
-    let n = g.num_vertices();
-    match scheme {
-        PartitionScheme::Contiguous(p) => {
-            assert!(p >= 1, "need at least one part");
-            let n_right = n - n_left;
-            let mut part = vec![0u32; n];
-            for (v, pt) in part.iter_mut().enumerate() {
-                *pt = if v < n_left {
-                    ((v * p) / n_left.max(1)) as u32
-                } else {
-                    (((v - n_left) * p) / n_right.max(1)) as u32
-                };
-            }
-            (part, p)
-        }
-        PartitionScheme::TwoWay => {
-            let tw = two_way_partition(g, n_left);
-            (tw.side.iter().map(|&s| s as u32).collect(), 2)
-        }
-    }
 }
 
 /// `CacheFriendlyFindMatching` (Fig. 9): solve each sub-graph locally,
@@ -141,7 +118,25 @@ pub fn build_local_parts(
     scheme: PartitionScheme,
 ) -> (Vec<LocalPart>, usize) {
     let n = g.num_vertices();
-    let (part, p) = assign_parts(g, n_left, scheme);
+    let (part, p): (Vec<u32>, usize) = match scheme {
+        PartitionScheme::Contiguous(p) => {
+            assert!(p >= 1, "need at least one part");
+            let n_right = n - n_left;
+            let mut part = vec![0u32; n];
+            for (v, pt) in part.iter_mut().enumerate() {
+                *pt = if v < n_left {
+                    ((v * p) / n_left.max(1)) as u32
+                } else {
+                    (((v - n_left) * p) / n_right.max(1)) as u32
+                };
+            }
+            (part, p)
+        }
+        PartitionScheme::TwoWay => {
+            let tw = two_way_partition(g, n_left);
+            (tw.side.iter().map(|&s| s as u32).collect(), 2)
+        }
+    };
 
     // Split vertices per part, locals numbered left-first.
     let mut local_id = vec![FREE; n];
@@ -184,9 +179,10 @@ pub fn build_local_parts(
     (parts, internal)
 }
 
-/// Write a solved part's matching into the global union — the serial
-/// driver's exact merge statements, shared with the parallel driver.
-pub(crate) fn merge_local(part: &LocalPart, local: &Matching, union: &mut Matching) {
+/// Write a solved part's matching into the global union: the merge of
+/// [`find_matching_partitioned`], shared by the parallel driver, the
+/// cache simulation and `cachegraph-check`'s re-execution.
+pub fn merge_local(part: &LocalPart, local: &Matching, union: &mut Matching) {
     for (lv, &gv) in part.members.iter().enumerate() {
         let lm = local.mate[lv];
         if lm != FREE {

@@ -10,6 +10,10 @@ use cachegraph::fw::{
 };
 use cachegraph::graph::{generators, INF};
 use cachegraph::layout::{BlockLayout, ZMorton};
+use cachegraph::matching::instrumented::{
+    sim_find_matching, sim_find_matching_partitioned, sim_find_matching_partitioned_profiled,
+    sim_find_matching_profiled,
+};
 use cachegraph::matching::{
     find_matching, find_matching_fast, find_matching_partitioned, hopcroft_karp, maxflow,
     verify, Matching, PartitionScheme,
@@ -141,6 +145,63 @@ fn simulated_fw_counts_are_pinned() {
             .map(|s| (s.path.clone(), s.self_stats.levels[0].accesses))
             .collect();
         assert_eq!(spans, want, "threads={threads}: self L1 accesses per span");
+    }
+}
+
+/// The simulated matching runs (Table 8) on `repro --quick`'s input,
+/// pinned per level as (accesses, misses, writebacks) with the memory
+/// lines, and per run as the `matching.searches` and
+/// `matching.augmenting_paths` counters of the profiled entry. The
+/// values predate the simulation's move onto the shipped Fig. 8 round
+/// (it simulated a hand-written copy of the round before), so a drift
+/// in the round's access order, in the carve or in the simulated
+/// address map fails here.
+#[test]
+fn simulated_matching_counts_are_pinned() {
+    let n = 256;
+    let b = generators::random_bipartite(n, 0.1, 5);
+    use PartitionScheme::{Contiguous, TwoWay};
+    let (cfg, exact) = (profiles::simplescalar, ProfilerOptions::exact());
+    // (scheme, per level, memory lines, (searches, augmenting paths));
+    // no scheme is the baseline.
+    let runs = [
+        (None, [(82_283, 317, 12), (329, 278, 0)], 278, (129, 128)),
+        (Some(Contiguous(8)), [(32_484, 509, 156), (665, 285, 0)], 285, (137, 128)),
+        (Some(TwoWay), [(42_294, 364, 79), (443, 323, 0)], 323, (131, 128)),
+    ];
+    for (scheme, levels, memory_lines, (searches, augmenting_paths)) in runs {
+        let registry = Registry::new();
+        let (run, profiled) = match scheme {
+            None => (
+                sim_find_matching(n, n / 2, b.edges(), cfg()),
+                sim_find_matching_profiled(n, n / 2, b.edges(), cfg(), exact, &registry),
+            ),
+            Some(s) => (
+                sim_find_matching_partitioned(n, n / 2, b.edges(), s, cfg()),
+                sim_find_matching_partitioned_profiled(
+                    n,
+                    n / 2,
+                    b.edges(),
+                    s,
+                    cfg(),
+                    exact,
+                    &registry,
+                ),
+            ),
+        };
+        assert_eq!(run.size, 128, "{scheme:?}: matching size");
+        let got: Vec<(u64, u64, u64)> =
+            run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
+        assert_eq!(got, levels, "{scheme:?}: per-level (accesses, misses, writebacks)");
+        assert_eq!(run.stats.memory_lines_fetched, memory_lines, "{scheme:?}: memory lines");
+        assert_eq!(profiled.stats, run.stats, "{scheme:?}: profiling changed the counts");
+        let counters = registry.snapshot().counters;
+        assert_eq!(counters.get("matching.searches"), Some(&searches), "{scheme:?}: searches");
+        assert_eq!(
+            counters.get("matching.augmenting_paths"),
+            Some(&augmenting_paths),
+            "{scheme:?}: augmenting paths"
+        );
     }
 }
 
