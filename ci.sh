@@ -48,8 +48,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --keep-going
 
 echo "==> obs overhead gate (enabled-path budgets, release, median block ratio)"
 # Profiled simulation vs the classifying no-profiler baseline on the FW
-# tiled unit: exact-event mode must stay within 1.15x, sampled 1/64
-# mode within 1.05x. The traced serve path (request tracing on vs off,
+# tiled unit: exact attribution must stay within 1.15x (9 rotated
+# blocks, median ratio). The traced serve path (request tracing on vs off,
 # order-balanced ABBA blocks over the request loop) must stay within
 # 1.10x, and parallel FW through the shared TaskGraph executor within
 # 1.05x of the hand-rolled phase loop. The bench exits nonzero on a

@@ -13,9 +13,7 @@
 //! against the fair baseline `sim_classified_baseline` (the profiler
 //! always classifies L1 misses, so the comparison is
 //! classifying-vs-classifying): `sim_profiler_exact` records one event
-//! callback per probe (budget ≤ 1.15x the baseline),
-//! `sim_profiler_sampled` records one access in 64 into the ring buffer
-//! (budget ≤ 1.05x).
+//! callback per probe (budget ≤ 1.15x the baseline).
 //!
 //! The serve-path suite prices request tracing: a round of sequential
 //! queries against an in-process daemon with tracing enabled versus
@@ -47,7 +45,6 @@ use std::time::{Duration, Instant};
 /// Overhead budgets asserted by `--gate`: enabled-path profiled runs
 /// versus the classifying no-profiler baseline, median block ratio.
 const EXACT_BUDGET: f64 = 1.15;
-const SAMPLED_BUDGET: f64 = 1.05;
 /// Traced serve path versus the same round with tracing disabled.
 const TRACED_SERVE_BUDGET: f64 = 1.10;
 /// Parallel FW through the shared TaskGraph executor versus the
@@ -169,11 +166,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn exact_options() -> ProfilerOptions {
-    ProfilerOptions { sample_period_log2: 0, timeline_interval: 4096 }
-}
-
-fn sampled_options() -> ProfilerOptions {
-    ProfilerOptions { sample_period_log2: 6, timeline_interval: 4096 }
+    ProfilerOptions { timeline_interval: 4096 }
 }
 
 /// One serve round: start an in-process daemon (small engine, built
@@ -220,34 +213,30 @@ fn run_gate() {
     let costs = random_costs(SIM_N, 0.3, 43);
     let disabled = Registry::disabled();
 
-    // Enabled-path simulation: each block runs the baseline, exact and
-    // sampled modes once, in an order rotated from block to block, so
-    // no mode always runs first or last within its block.
+    // Enabled-path simulation: each block runs the baseline and the
+    // profiled run once, in an order rotated from block to block, so
+    // neither always runs first within its block.
     let sim_blocks = 9;
-    let modes = [None, Some(exact_options()), Some(sampled_options())];
+    let modes = [None, Some(exact_options())];
     for mode in modes {
         sim_round(&costs, mode, &disabled); // warmup
     }
     println!("obs_overhead gate (FW tiled n={SIM_N} b={SIM_B}, {sim_blocks} rotated blocks):");
-    let (mut exact_ratios, mut sampled_ratios) = (Vec::new(), Vec::new());
+    let mut exact_ratios = Vec::new();
     for block in 0..sim_blocks {
-        let mut wall = [Duration::ZERO; 3];
-        let mut cpu = [Duration::ZERO; 3];
+        let mut wall = [Duration::ZERO; 2];
+        let mut cpu = [Duration::ZERO; 2];
         for step in 0..modes.len() {
             let m = (block + step) % modes.len();
             (wall[m], cpu[m]) = sim_round(&costs, modes[m], &disabled);
         }
         exact_ratios.push(speedup(wall[1], wall[0]));
-        sampled_ratios.push(speedup(wall[2], wall[0]));
         println!(
-            "  block {block}: baseline {:?} wall / {:?} cpu; exact {:.3}x wall / {:.3}x cpu; \
-             sampled {:.3}x wall / {:.3}x cpu",
+            "  block {block}: baseline {:?} wall / {:?} cpu; exact {:.3}x wall / {:.3}x cpu",
             wall[0],
             cpu[0],
             speedup(wall[1], wall[0]),
             speedup(cpu[1], cpu[0]),
-            speedup(wall[2], wall[0]),
-            speedup(cpu[2], cpu[0]),
         );
     }
 
@@ -310,12 +299,10 @@ fn run_gate() {
     }
 
     let exact_ratio = median(exact_ratios);
-    let sampled_ratio = median(sampled_ratios);
     let traced_ratio = median(serve_ratios);
     let dispatch_ratio = median(par_ratios);
     println!("median block ratios (wall-clock):");
     println!("  exact-event profiled:   {exact_ratio:.3}x  (budget {EXACT_BUDGET}x)");
-    println!("  sampled 1/64 profiled:  {sampled_ratio:.3}x  (budget {SAMPLED_BUDGET}x)");
     println!(
         "  traced serve:           {traced_ratio:.3}x  ({serve_requests} requests per round, \
          budget {TRACED_SERVE_BUDGET}x)"
@@ -327,10 +314,6 @@ fn run_gate() {
     let mut breached = false;
     if exact_ratio > EXACT_BUDGET {
         eprintln!("BUDGET BREACH: exact-event mode {exact_ratio:.3}x > {EXACT_BUDGET}x");
-        breached = true;
-    }
-    if sampled_ratio > SAMPLED_BUDGET {
-        eprintln!("BUDGET BREACH: sampled mode {sampled_ratio:.3}x > {SAMPLED_BUDGET}x");
         breached = true;
     }
     if traced_ratio > TRACED_SERVE_BUDGET {
@@ -404,18 +387,6 @@ fn main() {
             SIM_B,
             profiles::simplescalar(),
             exact_options(),
-            &disabled,
-        );
-        black_box(r.profile.sum_self().levels[0].misses);
-    });
-
-    bench_report("obs_overhead", "sim_profiler_sampled", samples, || {
-        let r = sim_tiled_bdl_profiled(
-            &scosts,
-            SIM_N,
-            SIM_B,
-            profiles::simplescalar(),
-            sampled_options(),
             &disabled,
         );
         black_box(r.profile.sum_self().levels[0].misses);

@@ -167,41 +167,15 @@ impl MemoryHierarchy {
     /// the resulting [`CacheProfile`] (and should match the run's
     /// `cache_sims` report label).
     pub fn attach_profiler(&mut self, label: &str) -> ScopeHandle {
-        let profiler = CacheProfiler::new(
-            label,
-            self.levels.len(),
-            self.tlb.is_some(),
-            self.classifier.is_some(),
-            None,
-            0,
-        );
-        let handle = profiler.handle();
-        self.profiler = Some(profiler);
-        handle
+        self.attach_profiler_with(label, ProfilerOptions::exact(), &Registry::disabled())
     }
 
-    /// Like [`attach_profiler`](Self::attach_profiler), additionally
-    /// sampling a miss-rate timeline: every `interval` L1 accesses one
-    /// delta-encoded `TimelineRecord` is emitted through `registry`'s
-    /// JSONL sink (if attached) and retained in the profile.
-    pub fn attach_profiler_sampled(
-        &mut self,
-        label: &str,
-        interval: u64,
-        registry: &Registry,
-    ) -> ScopeHandle {
-        self.attach_profiler_with(
-            label,
-            ProfilerOptions { sample_period_log2: 0, timeline_interval: interval },
-            registry,
-        )
-    }
-
-    /// Attach a profiler with explicit [`ProfilerOptions`]: a nonzero
-    /// `sample_period_log2` selects sampled (ring-buffered) attribution
-    /// with counters scaled up by `2^k`, and a nonzero
-    /// `timeline_interval` enables the miss-rate timeline through
-    /// `registry`'s JSONL sink.
+    /// Like [`attach_profiler`](Self::attach_profiler) under explicit
+    /// [`ProfilerOptions`]: a nonzero `timeline_interval` additionally
+    /// samples a miss-rate timeline, one delta-encoded `TimelineRecord`
+    /// every `timeline_interval` L1 accesses, emitted through
+    /// `registry`'s JSONL sink (if attached) and retained in the
+    /// profile.
     pub fn attach_profiler_with(
         &mut self,
         label: &str,
@@ -216,7 +190,6 @@ impl MemoryHierarchy {
             self.tlb.is_some(),
             self.classifier.is_some(),
             sampler,
-            options.sample_period_log2,
         );
         let handle = profiler.handle();
         self.profiler = Some(profiler);

@@ -19,20 +19,11 @@
 //! write-backs triggered by prefetch fills, which the propagated probe
 //! result alone would hide.
 //!
-//! Two recording modes (see [`ProfilerOptions`]):
-//!
-//! * **exact** (`sample_period_log2 == 0`): every event is applied to
-//!   its scope's tally immediately. The per-scope *self* stats sum to
-//!   the hierarchy's aggregate [`HierarchyStats`] exactly — the
-//!   conservation invariant asserted by tests here and an integration
-//!   test in `cachegraph-cli`.
-//! * **sampled** (`sample_period_log2 == k > 0`): one access in every
-//!   `2^k` is recorded; its events are pushed into a fixed-size
-//!   per-profiler ring buffer (no locks — the profiler is owned by the
-//!   simulating thread) and drained when the ring fills, when the scope
-//!   changes, and at finish. Frozen tallies are scaled up by the period,
-//!   so the profile reports estimates; [`CacheProfile::exact`] is
-//!   `false` and [`CacheProfile::sample_period`] carries the period.
+//! Attribution is **exact**: every event is applied to its scope's
+//! tally as it arrives, so the per-scope *self* stats sum to the
+//! hierarchy's aggregate [`HierarchyStats`] exactly — the conservation
+//! invariant asserted by tests here and an integration test in
+//! `cachegraph-cli`.
 //!
 //! Drivers set scopes through a cloneable [`ScopeHandle`] — an `Arc`
 //! around an atomic scope id plus a guard stack and path interner — so
@@ -43,12 +34,11 @@
 //! issued while no scope is entered lands in the reserved
 //! `"(unattributed)"` scope.
 //!
-//! An optional [interval sampler](MemoryHierarchy::attach_profiler_sampled)
+//! An optional interval sampler ([`ProfilerOptions::timeline_interval`])
 //! additionally emits a delta-encoded miss-rate timeline: one
-//! [`TimelineRecord`] every `interval`
-//! L1 accesses through the registry's JSONL sink (for watching long
-//! runs live), retained as [`TimelineSample`]s in the final
-//! [`CacheProfile`].
+//! [`TimelineRecord`] every `interval` L1 accesses through the
+//! registry's JSONL sink (for watching long runs live), retained as
+//! [`TimelineSample`]s in the final [`CacheProfile`].
 //!
 //! Attribution is zero-cost when no profiler is attached: every hook in
 //! the hierarchy is a branch on an `Option` that is `None` by default
@@ -72,36 +62,20 @@ use crate::tlb::TlbStats;
 /// Scope id 0: traffic issued while no [`ScopeGuard`] was live.
 pub const UNATTRIBUTED: &str = "(unattributed)";
 
-/// Sampled-mode ring capacity, in buffered events. Sized so a drain
-/// amortizes over many sampled accesses while the buffer stays a few
-/// KiB (events are two words each).
-const RING_CAPACITY: usize = 1024;
-
 /// How a profiler attaches — see
 /// [`MemoryHierarchy::attach_profiler_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfilerOptions {
-    /// Log2 of the systematic sampling period. `0` is exact attribution
-    /// (every access recorded); `k > 0` records one access in every
-    /// `2^k` and scales the frozen tallies by `2^k` (estimates, flagged
-    /// by [`CacheProfile::exact`] = `false`).
-    pub sample_period_log2: u32,
     /// Miss-rate timeline interval in L1 accesses; `0` disables the
-    /// timeline. In sampled mode the timeline is fed scaled deltas, so
-    /// the interval is still in (estimated) L1 accesses.
+    /// timeline.
     pub timeline_interval: u64,
 }
 
 impl ProfilerOptions {
-    /// Exact attribution, no timeline — what
+    /// Attribution with no timeline — what
     /// [`MemoryHierarchy::attach_profiler`] uses.
     pub fn exact() -> Self {
         Self::default()
-    }
-
-    /// The sampling period (`2^sample_period_log2`).
-    pub fn sample_period(&self) -> u64 {
-        1 << self.sample_period_log2
     }
 }
 
@@ -255,33 +229,11 @@ struct ScopeTally {
     classes: MissClasses,
 }
 
-impl ScopeTally {
-    /// Scale every counter by the sampling period (sampled-mode finish).
-    fn scale(&mut self, by: u64) {
-        for l in &mut self.levels {
-            l.accesses *= by;
-            l.hits *= by;
-            l.misses *= by;
-            l.victim_hits *= by;
-            l.writebacks *= by;
-            l.prefetches *= by;
-        }
-        self.tlb.accesses *= by;
-        self.tlb.misses *= by;
-        self.memory_lines *= by;
-        self.classes.compulsory *= by;
-        self.classes.capacity *= by;
-        self.classes.conflict *= by;
-    }
-}
-
 /// The attribution engine owned by a profiling [`MemoryHierarchy`].
 ///
 /// The hierarchy emits one [`CacheEvent`] per counter-moving occurrence
-/// through [`on_event`](Self::on_event); in exact mode the event is
-/// applied to the current scope's tally immediately, in sampled mode it
-/// is buffered in the ring (sampled accesses only) and applied at
-/// drain.
+/// through [`on_event`](Self::on_event), which applies it to the current
+/// scope's tally immediately.
 #[derive(Clone, Debug)]
 pub(crate) struct CacheProfiler {
     shared: Arc<ScopeShared>,
@@ -293,15 +245,6 @@ pub(crate) struct CacheProfiler {
     current: usize,
     scopes: Vec<ScopeTally>,
     sampler: Option<IntervalSampler>,
-    /// Systematic sampling period (power of two); 1 = exact mode.
-    period: u64,
-    /// Accesses until the next sampled one (sampled mode only).
-    countdown: u64,
-    /// Whether the in-flight access is being recorded.
-    sampling: bool,
-    /// Fixed-capacity event ring: `(scope id, event)` pairs, drained
-    /// when full, on scope change, and at finish (sampled mode only).
-    ring: Vec<(usize, CacheEvent)>,
 }
 
 impl CacheProfiler {
@@ -311,9 +254,7 @@ impl CacheProfiler {
         has_tlb: bool,
         has_classes: bool,
         sampler: Option<IntervalSampler>,
-        sample_period_log2: u32,
     ) -> Self {
-        let period = 1u64 << sample_period_log2;
         Self {
             shared: Arc::new(ScopeShared::new()),
             label: label.to_string(),
@@ -323,10 +264,6 @@ impl CacheProfiler {
             current: 0,
             scopes: Vec::new(),
             sampler,
-            period,
-            countdown: 0,
-            sampling: false,
-            ring: if period > 1 { Vec::with_capacity(RING_CAPACITY) } else { Vec::new() },
         }
     }
 
@@ -334,62 +271,23 @@ impl CacheProfiler {
         ScopeHandle { shared: Arc::clone(&self.shared) }
     }
 
-    /// Refresh the cached scope id and, in sampled mode, decide whether
-    /// this access is recorded; called once per hierarchy access (the
-    /// scope cannot change mid-access).
+    /// Refresh the cached scope id; called once per hierarchy access
+    /// (the scope cannot change mid-access).
     #[inline]
     pub(crate) fn sync_scope(&mut self) {
-        let id = self.shared.current.load(Ordering::Relaxed);
-        if self.period > 1 {
-            if id != self.current {
-                // Scope exit/entry: drain so buffered events cannot sit
-                // in the ring across a long foreign phase.
-                self.drain_ring();
-            }
-            if self.countdown == 0 {
-                self.sampling = true;
-                self.countdown = self.period - 1;
-            } else {
-                self.sampling = false;
-                self.countdown -= 1;
-            }
-        }
-        self.current = id;
+        self.current = self.shared.current.load(Ordering::Relaxed);
     }
 
-    /// Record one counter-moving event. Exact mode applies immediately;
-    /// sampled mode buffers events of sampled accesses in the ring.
+    /// Record one counter-moving event against the current scope.
     #[inline]
     pub(crate) fn on_event(&mut self, ev: CacheEvent) {
-        if self.period == 1 {
-            let id = self.current;
-            self.apply(id, ev);
-        } else if self.sampling {
-            if self.ring.len() == RING_CAPACITY {
-                self.drain_ring();
-            }
-            self.ring.push((self.current, ev));
-        }
-    }
-
-    /// Apply every buffered event to its scope's tally, keeping the
-    /// ring's allocation.
-    fn drain_ring(&mut self) {
-        if self.ring.is_empty() {
-            return;
-        }
-        let events = std::mem::take(&mut self.ring);
-        for &(id, ev) in &events {
-            self.apply(id, ev);
-        }
-        self.ring = events;
-        self.ring.clear();
+        let id = self.current;
+        self.apply(id, ev);
     }
 
     /// Apply one event to scope `id`'s raw tally, mirroring the
     /// hierarchy's own counter updates field for field.
     fn apply(&mut self, id: usize, ev: CacheEvent) {
-        let scale = self.period;
         if self.scopes.len() <= id {
             self.scopes.resize_with(id + 1, ScopeTally::default);
         }
@@ -415,9 +313,7 @@ impl CacheProfiler {
                 }
                 if level == 0 {
                     if let Some(s) = &mut self.sampler {
-                        // Sampled mode feeds the timeline scaled deltas,
-                        // so intervals stay in (estimated) L1 accesses.
-                        s.on_l1(scale, if hit { 0 } else { scale });
+                        s.on_l1(hit);
                     }
                 }
             }
@@ -455,17 +351,10 @@ impl CacheProfiler {
         }
     }
 
-    /// Freeze the profile: per-scope self stats (scaled by the sampling
-    /// period in sampled mode), subtree totals (path prefix
-    /// aggregation), and the timeline (final partial interval flushed).
-    /// `machine` is the hierarchy's configuration label.
+    /// Freeze the profile: per-scope self stats, subtree totals (path
+    /// prefix aggregation), and the timeline (final partial interval
+    /// flushed). `machine` is the hierarchy's configuration label.
     pub(crate) fn finish(mut self, machine: &str) -> CacheProfile {
-        self.drain_ring();
-        if self.period > 1 {
-            for t in &mut self.scopes {
-                t.scale(self.period);
-            }
-        }
         let (interval, timeline) = match self.sampler.take() {
             Some(mut s) => {
                 s.flush();
@@ -489,8 +378,6 @@ impl CacheProfiler {
             label: self.label,
             machine: machine.to_string(),
             interval,
-            sample_period: self.period,
-            exact: self.period == 1,
             spans: build_spans(&selves),
             timeline,
         }
@@ -556,9 +443,9 @@ impl IntervalSampler {
     }
 
     #[inline]
-    fn on_l1(&mut self, d_accesses: u64, d_misses: u64) {
-        self.accesses += d_accesses;
-        self.misses += d_misses;
+    fn on_l1(&mut self, hit: bool) {
+        self.accesses += 1;
+        self.misses += u64::from(!hit);
         if self.accesses - self.emitted_accesses >= self.interval {
             self.emit_sample();
         }
@@ -637,12 +524,6 @@ pub struct CacheProfile {
     /// Timeline sampling interval in L1 accesses; 0 when no sampler
     /// was attached.
     pub interval: u64,
-    /// Systematic sampling period the attribution ran at: 1 in exact
-    /// mode, `2^k` in sampled mode (counters are scaled-up estimates).
-    pub sample_period: u64,
-    /// True when every counter was recorded (no sampling): the sum of
-    /// per-scope self stats equals the run aggregate exactly.
-    pub exact: bool,
     /// Per-scope stats in first-entry (pre-)order; scopes with no
     /// traffic are omitted.
     pub spans: Vec<SpanCacheStats>,
@@ -651,10 +532,9 @@ pub struct CacheProfile {
 }
 
 impl CacheProfile {
-    /// Sum of all per-scope *self* stats. In exact mode this equals the
-    /// run's aggregate [`HierarchyStats`] field for field (miss rates
-    /// recomputed over the sums); in sampled mode it is the scaled
-    /// estimate (within one period per counter of the truth).
+    /// Sum of all per-scope *self* stats: the run's aggregate
+    /// [`HierarchyStats`] field for field (miss rates recomputed over
+    /// the sums).
     pub fn sum_self(&self) -> HierarchyStats {
         let mut acc = match self.spans.first() {
             Some(s) => s.self_stats.zeroed_like(),
@@ -675,10 +555,8 @@ impl CacheProfile {
     /// of summing per-thread [`HierarchyStats`]: self stats of
     /// same-path spans are added, subtree totals are rebuilt over the
     /// union, and span order is first appearance across the parts (so
-    /// shared parents keep their pre-order position). The parts are
-    /// expected to share one recording mode; the merged profile is
-    /// exact only if every part was, and carries the largest
-    /// `sample_period`. Timelines do not interleave meaningfully across
+    /// shared parents keep their pre-order position). Timelines do not
+    /// interleave meaningfully across
     /// threads, so the merged timeline is kept only when exactly one
     /// part has one. Returns `None` for an empty input.
     pub fn merge(parts: Vec<CacheProfile>) -> Option<CacheProfile> {
@@ -686,14 +564,10 @@ impl CacheProfile {
         let first = it.next()?;
         let label = first.label.clone();
         let machine = first.machine.clone();
-        let mut sample_period = 1;
-        let mut exact = true;
         let mut order: Vec<String> = Vec::new();
         let mut selves: HashMap<String, HierarchyStats> = HashMap::new();
         let mut timelines: Vec<(u64, Vec<TimelineSample>)> = Vec::new();
         for part in std::iter::once(first).chain(it) {
-            exact &= part.exact;
-            sample_period = sample_period.max(part.sample_period);
             if !part.timeline.is_empty() {
                 timelines.push((part.interval, part.timeline));
             }
@@ -725,8 +599,6 @@ impl CacheProfile {
             label,
             machine,
             interval,
-            sample_period,
-            exact,
             spans: build_spans(&merged),
             timeline,
         })
@@ -803,8 +675,6 @@ mod tests {
         }
         let aggregate = h.stats();
         let profile = h.take_profile().expect("profiler attached");
-        assert!(profile.exact);
-        assert_eq!(profile.sample_period, 1);
         assert_stats_eq(&profile.sum_self(), &aggregate);
         let paths: Vec<&str> = profile.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, ["test.run", "test.run/phase[0]", "test.run/phase[1]"]);
@@ -924,7 +794,8 @@ mod tests {
     fn sampler_emits_full_intervals_and_flushes_partial_tail() {
         let mut h = two_level_tlb(false);
         let reg = Registry::disabled();
-        h.attach_profiler_sampled("t", 4, &reg);
+        let opts = ProfilerOptions { timeline_interval: 4 };
+        h.attach_profiler_with("t", opts, &reg);
         for addr in 0..10u64 {
             h.read(addr * 16, 1); // 10 L1 accesses, one line each
         }
@@ -941,7 +812,8 @@ mod tests {
     #[test]
     fn sampler_interval_of_one_samples_every_access() {
         let mut h = two_level_tlb(false);
-        h.attach_profiler_sampled("t", 1, &Registry::disabled());
+        let opts = ProfilerOptions { timeline_interval: 1 };
+        h.attach_profiler_with("t", opts, &Registry::disabled());
         for addr in 0..5u64 {
             h.read(addr, 1);
         }
@@ -954,7 +826,8 @@ mod tests {
     #[test]
     fn sampler_trace_shorter_than_interval_yields_one_sample() {
         let mut h = two_level_tlb(false);
-        h.attach_profiler_sampled("t", 1_000, &Registry::disabled());
+        let opts = ProfilerOptions { timeline_interval: 1_000 };
+        h.attach_profiler_with("t", opts, &Registry::disabled());
         h.read(0, 4);
         h.read(16, 4);
         h.read(32, 4);
@@ -967,7 +840,8 @@ mod tests {
     #[test]
     fn sampler_with_no_traffic_emits_nothing() {
         let mut h = two_level_tlb(false);
-        h.attach_profiler_sampled("t", 8, &Registry::disabled());
+        let opts = ProfilerOptions { timeline_interval: 8 };
+        h.attach_profiler_with("t", opts, &Registry::disabled());
         let profile = h.take_profile().expect("profiler attached");
         assert!(profile.timeline.is_empty());
         assert!(profile.spans.is_empty());
@@ -993,7 +867,8 @@ mod tests {
         let sink = Shared::default();
         reg.attach_jsonl_sink(Box::new(sink.clone()));
         let mut h = two_level_tlb(false);
-        h.attach_profiler_sampled("live.run", 2, &reg);
+        let opts = ProfilerOptions { timeline_interval: 2 };
+        h.attach_profiler_with("live.run", opts, &reg);
         for addr in 0..6u64 {
             h.read(addr * 16, 1);
         }
@@ -1015,90 +890,6 @@ mod tests {
     fn take_profile_without_attach_is_none() {
         let mut h = two_level_tlb(false);
         assert!(h.take_profile().is_none());
-    }
-
-    // ---- sampled (ring-buffered) mode ---------------------------------
-
-    #[test]
-    fn sampled_mode_scales_counters_within_one_period_of_truth() {
-        let opts = ProfilerOptions { sample_period_log2: 3, timeline_interval: 0 };
-        let period = opts.sample_period();
-        let mut h = two_level_tlb(false);
-        let handle = h.attach_profiler_with("t", opts, &Registry::disabled());
-        let n = 1000u64;
-        {
-            let _root = handle.enter("t");
-            for i in 0..n {
-                h.read(i * 4, 4); // aligned u32 reads: one L1 probe each
-            }
-        }
-        let profile = h.take_profile().expect("profiler attached");
-        assert!(!profile.exact);
-        assert_eq!(profile.sample_period, period);
-        let est = profile.sum_self();
-        // Systematic 1-in-P sampling of N probes records ceil(N/P), so
-        // the scaled estimate overshoots by less than one period.
-        let true_accesses = h.stats().levels[0].accesses;
-        assert_eq!(true_accesses, n);
-        let scaled = est.levels[0].accesses;
-        assert!(scaled >= true_accesses && scaled - true_accesses < period,
-            "scaled {scaled} vs true {true_accesses} (period {period})");
-        // Every scaled counter is a multiple of the period.
-        for l in &est.levels {
-            for v in [l.accesses, l.hits, l.misses, l.writebacks, l.prefetches] {
-                assert_eq!(v % period, 0, "L{} counter {v} not a multiple of {period}", l.level);
-            }
-        }
-        assert_eq!(est.memory_lines_fetched % period, 0);
-    }
-
-    #[test]
-    fn sampled_mode_attributes_to_the_right_scopes() {
-        // Two phases with disjoint traffic; the sampled profile must
-        // charge each phase's estimate to its own span.
-        let opts = ProfilerOptions { sample_period_log2: 2, timeline_interval: 0 };
-        let mut h = two_level_tlb(false);
-        let handle = h.attach_profiler_with("t", opts, &Registry::disabled());
-        {
-            let _root = handle.enter("t");
-            {
-                let _a = handle.enter("t/a");
-                for i in 0..64u64 {
-                    h.read(i * 4, 4);
-                }
-            }
-            {
-                let _b = handle.enter("t/b");
-                for i in 0..128u64 {
-                    h.read(1 << 20 | (i * 4), 4);
-                }
-            }
-        }
-        let profile = h.take_profile().expect("profiler attached");
-        let a = profile.find("t/a").expect("phase a").self_stats.levels[0].accesses;
-        let b = profile.find("t/b").expect("phase b").self_stats.levels[0].accesses;
-        assert_eq!(a, 64, "64 accesses at period 4 = 16 sampled, scaled back to 64");
-        assert_eq!(b, 128);
-        assert!(profile.find(UNATTRIBUTED).is_none());
-    }
-
-    #[test]
-    fn sampled_timeline_reports_scaled_deltas() {
-        let opts = ProfilerOptions { sample_period_log2: 2, timeline_interval: 32 };
-        let mut h = two_level_tlb(false);
-        let handle = h.attach_profiler_with("t", opts, &Registry::disabled());
-        {
-            let _root = handle.enter("t");
-            for i in 0..128u64 {
-                h.read(i * 16, 4); // every read a fresh line: all misses
-            }
-        }
-        let profile = h.take_profile().expect("profiler attached");
-        assert_eq!(profile.interval, 32);
-        let t_acc: u64 = profile.timeline.iter().map(|s| s.accesses).sum();
-        // 128 probes at period 4 = 32 sampled, scaled to 128.
-        assert_eq!(t_acc, 128);
-        assert!(profile.timeline.len() >= 2, "scaled deltas fill multiple intervals");
     }
 
     #[test]
@@ -1183,8 +974,7 @@ mod tests {
                 }
                 let merged = CacheProfile::merge(parts).expect("non-empty parts");
                 let aggregate = aggregate.expect("at least one part");
-                // Conservation across the merge, exactly (exact mode).
-                assert!(merged.exact);
+                // Conservation across the merge, exactly.
                 assert_stats_eq(&merged.sum_self(), &aggregate);
                 // The merged profile is the single-thread profile with
                 // every counter multiplied by the thread count.
@@ -1197,40 +987,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn merged_sampled_profiles_stay_within_scaling_bound() {
-        // Sampled parts merge like exact ones, but each part's counters
-        // are within one period of its truth, so the merged estimate is
-        // within threads * period of the merged aggregate.
-        let opts = ProfilerOptions { sample_period_log2: 4, timeline_interval: 0 };
-        let period = opts.sample_period();
-        for threads in [2usize, 4] {
-            let mut parts = Vec::new();
-            let mut true_l1 = 0u64;
-            for t in 0..threads {
-                let mut h = two_level_tlb(false);
-                let handle = h.attach_profiler_with("m", opts, &Registry::disabled());
-                {
-                    let _root = handle.enter("m");
-                    for i in 0..(500 + 37 * t as u64) {
-                        h.read(i * 4, 4);
-                    }
-                }
-                true_l1 += h.stats().levels[0].accesses;
-                parts.push(h.take_profile().expect("profiler"));
-            }
-            let merged = CacheProfile::merge(parts).expect("non-empty parts");
-            assert!(!merged.exact);
-            assert_eq!(merged.sample_period, period);
-            let est = merged.sum_self().levels[0].accesses;
-            let bound = period * threads as u64;
-            assert!(
-                est.abs_diff(true_l1) < bound,
-                "estimate {est} vs truth {true_l1}, bound {bound}"
-            );
         }
     }
 

@@ -115,8 +115,9 @@ fn level_from_json(json: &Json) -> Option<LevelStats> {
 }
 
 /// Serialize a [`CacheProfile`] as one `profiles` section (schema v4):
-/// `label` / `machine` / `interval`, the sampling mode
-/// (`sample_period` / `exact`, new in v4), a `spans` array of
+/// `label` / `machine` / `interval`, the attribution mode fields
+/// `sample_period` / `exact` (new in v4; always 1 / `true`, because
+/// attribution is exact), a `spans` array of
 /// `{path, self, total}` objects (each stats body shaped like a
 /// `cache_sims` section, minus the label), and a `timeline` array of
 /// delta-encoded `{seq, accesses, l1_misses}` samples.
@@ -149,29 +150,26 @@ pub fn profile_to_json(profile: &CacheProfile) -> Json {
         .field("label", profile.label.as_str())
         .field("machine", profile.machine.as_str())
         .field("interval", profile.interval)
-        .field("sample_period", profile.sample_period)
-        .field("exact", profile.exact)
+        .field("sample_period", 1_u64)
+        .field("exact", true)
         .field("spans", spans)
         .field("timeline", timeline)
 }
 
 /// Parse a `profiles` section back into a [`CacheProfile`]. Returns
-/// `None` when any required field is missing or ill-typed. The v4
-/// sampling fields default to `sample_period = 1` / `exact = true`
-/// when absent, so v3 profiles (always exact) still load.
+/// `None` when any required field is missing or ill-typed, and for a
+/// sampled profile (`exact: false` or a `sample_period` other than 1,
+/// written by older builds), whose counters are scaled estimates. v3
+/// profiles lack both fields and load as the exact profiles they are.
 pub fn profile_from_json(json: &Json) -> Option<CacheProfile> {
     let label = json.get("label")?.as_str()?.to_string();
     let machine = json.get("machine")?.as_str()?.to_string();
     let interval = json.get("interval")?.as_u64()?;
-    let sample_period = match json.get("sample_period") {
-        None => 1,
-        Some(v) => v.as_u64()?,
-    };
-    let exact = match json.get("exact") {
-        None => true,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return None,
-    };
+    let exact = json.get("exact").is_none_or(|e| *e == Json::Bool(true))
+        && json.get("sample_period").is_none_or(|p| p.as_u64() == Some(1));
+    if !exact {
+        return None;
+    }
     let spans = json
         .get("spans")?
         .as_arr()?
@@ -196,7 +194,7 @@ pub fn profile_from_json(json: &Json) -> Option<CacheProfile> {
             })
         })
         .collect::<Option<Vec<_>>>()?;
-    Some(CacheProfile { label, machine, interval, sample_period, exact, spans, timeline })
+    Some(CacheProfile { label, machine, interval, spans, timeline })
 }
 
 #[cfg(test)]
@@ -250,8 +248,6 @@ mod tests {
             label: "fw.tiled.bdl".to_string(),
             machine: "simplescalar".to_string(),
             interval: 4_096,
-            sample_period: 64,
-            exact: false,
             spans: vec![
                 SpanCacheStats {
                     path: "fw.tiled.bdl".to_string(),
@@ -342,9 +338,7 @@ mod tests {
     fn v3_profiles_without_sampling_fields_load_as_exact() {
         // A v3 profile (written before the sampling fields existed)
         // must parse with the exact-mode defaults: period 1, exact.
-        let mut profile = sample_profile();
-        profile.sample_period = 1;
-        profile.exact = true;
+        let profile = sample_profile();
         let v4 = profile_to_json(&profile);
         let v3 = match v4 {
             Json::Obj(fields) => Json::Obj(
@@ -357,6 +351,23 @@ mod tests {
         };
         assert!(v3.get("sample_period").is_none());
         assert_eq!(profile_from_json(&v3), Some(profile));
+    }
+
+    #[test]
+    fn sampled_profiles_are_refused() {
+        // Older builds wrote sampled profiles, whose counters are scaled
+        // estimates; they must not load as exact ones.
+        for (key, value) in [("exact", Json::Bool(false)), ("sample_period", Json::UInt(64))] {
+            let Json::Obj(mut fields) = profile_to_json(&sample_profile()) else {
+                panic!("a profile section is an object");
+            };
+            for (k, v) in &mut fields {
+                if k == key {
+                    *v = value.clone();
+                }
+            }
+            assert!(profile_from_json(&Json::Obj(fields)).is_none(), "{key}");
+        }
     }
 
     #[test]

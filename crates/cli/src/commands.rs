@@ -489,20 +489,13 @@ impl UnitReport {
     }
 }
 
-/// Profiler configuration for the repro simulations. Quick runs record
-/// exactly (small problems; the report asserts self-sums match the
-/// aggregates). Full runs sample one access in 64 — the counters become
-/// scaled estimates, flagged `exact: false` in the report — because at
-/// full problem sizes exact per-access attribution is pure overhead.
-/// The timeline interval is coarse enough that a full FW run keeps its
-/// timeline in the hundreds of samples, fine enough that a quick run
-/// still shows phases.
+/// Profiler configuration for the repro simulations. Attribution is
+/// exact at both scales, so every profile's self stats sum to its
+/// run's aggregates. The timeline interval is coarse enough that a
+/// full FW run keeps its timeline in the hundreds of samples, fine
+/// enough that a quick run still shows phases.
 fn repro_options(full: bool) -> ProfilerOptions {
-    if full {
-        ProfilerOptions { sample_period_log2: 6, timeline_interval: 65_536 }
-    } else {
-        ProfilerOptions { sample_period_log2: 0, timeline_interval: 4_096 }
-    }
+    ProfilerOptions { timeline_interval: if full { 65_536 } else { 4_096 } }
 }
 
 /// Floyd-Warshall unit: simulated hierarchies give the miss counts (with
@@ -835,10 +828,9 @@ fn cmd_compare(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 /// `profile`: render the `profiles` sections of a metrics report
 /// (schema v3+) as indented span trees — self/total L1 misses, self
 /// miss rate, and the dominant three-Cs miss class per scope — plus a
-/// terminal sparkline of each run's sampled miss-rate timeline. Sampled
-/// (v4, `exact: false`) profiles render through the identical code
-/// path, with one header annotation marking the counters as scaled
-/// estimates.
+/// terminal sparkline of each run's sampled miss-rate timeline. A
+/// sampled profile (`exact: false`, written by older builds, whose
+/// counters are scaled estimates) is refused, not rendered as exact.
 /// `--label L` restricts the output to one profile.
 fn cmd_profile(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let [path] = args.positionals() else {
@@ -850,7 +842,9 @@ fn cmd_profile(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let mut shown = 0usize;
     for section in &report.profiles {
         let Some(profile) = profile_from_json(section) else {
-            return Err(CliError::Invalid(format!("{path}: malformed profile section")));
+            return Err(CliError::Invalid(format!(
+                "{path}: malformed or sampled profile section (only exact profiles are read)"
+            )));
         };
         if want.is_some_and(|w| w != profile.label) {
             continue;
@@ -871,15 +865,7 @@ fn cmd_profile(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn render_profile(p: &CacheProfile, out: &mut dyn Write) -> Result<(), CliError> {
-    if p.exact {
-        writeln!(out, "profile {} (machine {})", p.label, p.machine)?;
-    } else {
-        writeln!(
-            out,
-            "profile {} (machine {}, sampled 1/{} — counters are scaled estimates)",
-            p.label, p.machine, p.sample_period
-        )?;
-    }
+    writeln!(out, "profile {} (machine {})", p.label, p.machine)?;
     writeln!(
         out,
         "  {:<34} {:>12} {:>12} {:>7}  dominant",
@@ -1481,24 +1467,33 @@ mod tests {
     }
 
     #[test]
-    fn sampled_profile_renders_with_scaling_annotation() {
-        // A sampled (v4, exact: false) profile renders through the same
-        // span-tree path as an exact one, with one header annotation.
+    fn sampled_profile_is_refused() {
+        // A stored sampled profile (`exact: false`, as older builds
+        // wrote them) holds scaled estimates: `profile` refuses it
+        // instead of rendering it as exact.
         let registry = Registry::new();
         let costs = generators::random_directed(32, 0.3, 100, 7).build_matrix().costs().to_vec();
-        let opts = ProfilerOptions { sample_period_log2: 4, timeline_interval: 1024 };
+        let opts = ProfilerOptions { timeline_interval: 1024 };
         let sim = sim_tiled_bdl_profiled(&costs, 32, 8, profiles::simplescalar(), opts, &registry);
+        let Json::Obj(mut fields) = profile_to_json(&sim.profile) else {
+            panic!("a profile section is an object");
+        };
+        for (key, value) in &mut fields {
+            match key.as_str() {
+                "sample_period" => *value = Json::UInt(16),
+                "exact" => *value = Json::Bool(false),
+                _ => {}
+            }
+        }
         let mut report = Report::new("sampled-test");
-        report.push_profile(profile_to_json(&sim.profile));
+        report.push_profile(Json::Obj(fields));
         let path = tmp("sampled_profile.json");
         report.save(Path::new(&path)).expect("save");
 
-        let rendered = run_str("profile", &[&path]).expect("profile");
-        assert!(
-            rendered.contains("sampled 1/16 — counters are scaled estimates"),
-            "sampling annotation must appear: {rendered}"
-        );
-        assert!(rendered.contains("tile["), "span tree still renders: {rendered}");
+        match run_str("profile", &[&path]) {
+            Err(CliError::Invalid(msg)) => assert!(msg.contains("sampled"), "{msg}"),
+            other => panic!("a sampled profile must be refused: {other:?}"),
+        }
     }
 
     #[test]

@@ -41,10 +41,8 @@ pub struct FwProfiledResult {
     pub stats: HierarchyStats,
     /// The computed all-pairs distances, row-major over the logical `n`.
     pub dist: Vec<Weight>,
-    /// Per-scope attribution of the same counters; in exact mode its
-    /// [`sum_self`](CacheProfile::sum_self) equals `stats` exactly, in
-    /// sampled mode it is the scaled estimate (see
-    /// [`CacheProfile::exact`]).
+    /// Per-scope attribution of the same counters; its
+    /// [`sum_self`](CacheProfile::sum_self) equals `stats` exactly.
     pub profile: CacheProfile,
 }
 
@@ -127,9 +125,9 @@ fn run_traced<L: Layout>(
 
 /// Like [`run_traced_with`], but with a cache-attribution profiler
 /// attached before the driver runs. `label` names the profile and the
-/// root scope; `options` selects the recording mode (exact or sampled)
-/// and the miss-rate timeline interval, streamed through `registry`'s
-/// JSONL sink as it is sampled. The driver closure receives the
+/// root scope; `options` selects the miss-rate timeline interval, the
+/// timeline streamed through `registry`'s JSONL sink as it is sampled.
+/// The driver closure receives the
 /// [`ScopeHandle`] so it can scope sub-phases (e.g. one scope per tile
 /// iteration). Profiled runs always classify L1 misses — the span
 /// tree's `dominant` column needs it.
@@ -334,8 +332,8 @@ fn run_sim_phase(
 /// simulates the same shared address range on its own hierarchy, so the
 /// merged counters are the sum of per-core traffic. The merged profile
 /// keeps one `{label}/thread[w]` span per worker plus a `{label}/diag`
-/// span for the sequential diagonal phase (simulated on worker 0); in
-/// exact mode its `sum_self` equals the merged aggregate exactly.
+/// span for the sequential diagonal phase (simulated on worker 0); its
+/// `sum_self` equals the merged aggregate exactly.
 pub fn sim_tiled_parallel_profiled(
     costs: &[Weight],
     n: usize,
@@ -552,10 +550,9 @@ mod tests {
         );
     }
 
-    /// Exact attribution with a miss-rate timeline every `interval` L1
-    /// accesses — what the pre-sampling profiled entry points did.
+    /// A miss-rate timeline every `interval` L1 accesses.
     fn exact_tl(interval: u64) -> ProfilerOptions {
-        ProfilerOptions { sample_period_log2: 0, timeline_interval: interval }
+        ProfilerOptions { timeline_interval: interval }
     }
 
     #[test]
@@ -643,38 +640,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_profiled_run_does_not_perturb_the_simulation() {
-        // Sampling changes what the profiler records, never what the
-        // hierarchy simulates: aggregate counters and distances stay
-        // bit-identical, and the sampled estimate stays within one
-        // period of each true L1 counter.
-        let n = 24;
-        let costs = random_costs(n, 0.35, 17);
-        let plain = sim_tiled_bdl_classified(&costs, n, 8, profiles::simplescalar());
-        let opts = ProfilerOptions { sample_period_log2: 4, timeline_interval: 0 };
-        let prof = sim_tiled_bdl_profiled(
-            &costs,
-            n,
-            8,
-            profiles::simplescalar(),
-            opts,
-            &Registry::disabled(),
-        );
-        assert_eq!(plain.stats, prof.stats);
-        assert_eq!(plain.dist, prof.dist);
-        assert!(!prof.profile.exact);
-        assert_eq!(prof.profile.sample_period, 16);
-        let est = prof.profile.sum_self();
-        let l1 = &prof.stats.levels[0];
-        assert!(
-            est.levels[0].accesses.abs_diff(l1.accesses) < 16,
-            "estimate {} vs true {}",
-            est.levels[0].accesses,
-            l1.accesses
-        );
-    }
-
-    #[test]
     fn recursive_profile_attributes_misses_by_depth() {
         let n = 16;
         let base = 4; // 4x4 tile grid -> recursion depths 0, 1, 2
@@ -720,8 +685,7 @@ mod tests {
             assert_eq!(r.dist, expect, "threads={threads}");
             // The acceptance invariant: the merged profile's sum of
             // per-scope self stats equals the merged run aggregate
-            // exactly in exact mode, for every thread count.
-            assert!(r.profile.exact);
+            // exactly, for every thread count.
             assert_eq!(r.profile.sum_self(), r.stats, "threads={threads}");
             // The root span's subtree covers the whole run, and the
             // per-thread + diag structure is present.

@@ -79,6 +79,7 @@ impl AdjacencyArray {
     }
 
     /// The arcs of one vertex as a slice.
+    #[inline]
     pub fn arcs_of(&self, v: VertexId) -> &[Arc] {
         let lo = self.offsets[v as usize] as usize;
         let hi = self.offsets[v as usize + 1] as usize;
@@ -86,8 +87,30 @@ impl AdjacencyArray {
     }
 }
 
+/// Iterator over one vertex's packed arcs, as `(target, weight)`.
+#[derive(Clone, Debug)]
+pub struct ArcNeighbors<'a> {
+    arcs: std::slice::Iter<'a, Arc>,
+}
+
+impl Iterator for ArcNeighbors<'_> {
+    type Item = (VertexId, Weight);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        self.arcs.next().map(|a| (a.to, a.weight))
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.arcs.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ArcNeighbors<'_> {}
+
 impl Graph for AdjacencyArray {
-    type Neighbors<'a> = std::iter::Map<std::slice::Iter<'a, Arc>, fn(&Arc) -> (VertexId, Weight)>;
+    type Neighbors<'a> = ArcNeighbors<'a>;
 
     fn num_vertices(&self) -> usize {
         self.offsets.len() - 1
@@ -101,8 +124,9 @@ impl Graph for AdjacencyArray {
         (self.offsets[v as usize + 1] - self.offsets[v as usize]) as usize
     }
 
+    #[inline]
     fn neighbors(&self, v: VertexId) -> Self::Neighbors<'_> {
-        self.arcs_of(v).iter().map(|a| (a.to, a.weight))
+        ArcNeighbors { arcs: self.arcs_of(v).iter() }
     }
 }
 

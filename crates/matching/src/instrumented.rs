@@ -83,8 +83,8 @@ pub fn sim_find_matching(
 /// [`sim_find_matching`] reporting into `registry` — a
 /// `matching.baseline` span plus the `matching.searches` /
 /// `matching.augmenting_paths` counters — with span-scoped cache
-/// attribution under the given [`ProfilerOptions`] (recording mode and
-/// miss-rate timeline interval).
+/// attribution under the given [`ProfilerOptions`] (the miss-rate
+/// timeline interval).
 pub fn sim_find_matching_profiled(
     n: usize,
     n_left: usize,
@@ -255,7 +255,7 @@ mod tests {
             b.edges(),
             PartitionScheme::Contiguous(4),
             profiles::simplescalar(),
-            ProfilerOptions { sample_period_log2: 0, timeline_interval: 1024 },
+            ProfilerOptions { timeline_interval: 1024 },
             &reg,
         );
         let plain = sim_find_matching_partitioned(

@@ -29,11 +29,13 @@ use crate::registry::Snapshot;
 ///   built by `cachegraph-cache-sim`'s report module: per-span self and
 ///   subtree-total hierarchy stats plus a delta-encoded miss-rate
 ///   timeline).
-/// * v4 — sampled attribution: every profile object carries a
-///   `sample_period` (accesses per recorded attribution event, 1 =
-///   every access) and an `exact` flag; counters in sampled profiles
-///   are scaled-up estimates. v3 documents load fine (the fields
-///   default to exact), so [`MIN_SCHEMA_VERSION`] stays at 3.
+/// * v4 — attribution mode: every profile object carries a
+///   `sample_period` (accesses per recorded attribution event) and an
+///   `exact` flag. Builds that sampled wrote `exact: false` profiles
+///   with scaled-up estimates; attribution is now always exact, so
+///   profiles are written with 1 / `true` and a sampled profile is
+///   refused on load. v3 documents load fine (the fields default to
+///   exact), so [`MIN_SCHEMA_VERSION`] stays at 3.
 /// * v5 — request traces: a top-level `traces` array of wide-event
 ///   request traces (one object per flight-recorder entry, built by
 ///   [`crate::trace`]: trace id, op, outcome, per-segment durations
@@ -43,8 +45,8 @@ use crate::registry::Snapshot;
 pub const SCHEMA_VERSION: u64 = 5;
 
 /// Oldest schema version this build still reads. v3 profiles lack the
-/// sampling fields, which default to `sample_period = 1` / `exact` on
-/// load; everything else is layout-identical.
+/// attribution mode fields, which default to `sample_period = 1` /
+/// `exact` on load; everything else is layout-identical.
 pub const MIN_SCHEMA_VERSION: u64 = 3;
 
 /// Name stamped into every report's `tool` field.

@@ -235,7 +235,7 @@ impl TracedGraph for TracedList {
 /// Observability wiring for one simulated run: the registry spans and
 /// counters report into, the root span/scope name, and — when the
 /// attribution profiler should attach — its [`ProfilerOptions`]
-/// (recording mode and timeline interval).
+/// (the timeline interval).
 struct RunObs<'a> {
     registry: &'a Registry,
     span_name: &'a str,
@@ -331,9 +331,9 @@ pub fn sim_dijkstra_adj_array_observed(
 }
 
 /// [`sim_dijkstra_adj_array_observed`] with span-scoped cache
-/// attribution under the given [`ProfilerOptions`] (recording mode and
-/// miss-rate timeline interval); the result's `profile` splits the
-/// counters between the heap-building `init` scope and the `main_loop`
+/// attribution under the given [`ProfilerOptions`] (the miss-rate
+/// timeline interval); the result's `profile` splits the counters
+/// between the heap-building `init` scope and the `main_loop`
 /// relaxation scope.
 pub fn sim_dijkstra_adj_array_profiled(
     g: &AdjacencyArray,
@@ -468,7 +468,7 @@ mod tests {
             &arr,
             0,
             profiles::simplescalar(),
-            ProfilerOptions { sample_period_log2: 0, timeline_interval: 1024 },
+            ProfilerOptions { timeline_interval: 1024 },
             &reg,
         );
         let plain = sim_dijkstra_adj_array(&arr, 0, profiles::simplescalar());

@@ -20,7 +20,10 @@ use cachegraph::matching::{
 };
 use cachegraph::pq::{FibonacciHeap, PairingHeap};
 use cachegraph::sim::{profiles, ProfilerOptions};
-use cachegraph::sssp::instrumented::{sim_dijkstra_adj_array, sim_prim_adj_list};
+use cachegraph::sssp::instrumented::{
+    sim_dijkstra_adj_array, sim_dijkstra_adj_array_observed, sim_dijkstra_adj_list,
+    sim_dijkstra_adj_list_observed, sim_prim_adj_array, sim_prim_adj_list,
+};
 use cachegraph::sssp::{
     apsp_dijkstra, bellman_ford, dijkstra, dijkstra_binary_heap, kruskal, prim_binary_heap,
 };
@@ -202,6 +205,91 @@ fn simulated_matching_counts_are_pinned() {
             Some(&augmenting_paths),
             "{scheme:?}: augmenting paths"
         );
+    }
+}
+
+/// The simulated Dijkstra and Prim runs (Tables 6 and 7) on the bench
+/// workloads' generators at n = 512 from vertex 0, pinned per level as
+/// (accesses, misses, writebacks) with the memory lines; Dijkstra also
+/// by the `sssp.relaxations` / `sssp.decrease_keys` /
+/// `sssp.extract_mins` counters of its observed entry, Prim by its tree
+/// weight. A drift in the traced heap, the traced relaxation loop or the
+/// simulated address map fails here.
+#[test]
+fn simulated_sssp_counts_are_pinned() {
+    let n = 512;
+    let cfg = profiles::simplescalar;
+    let mut dj = generators::random_directed(n, 0.05, 100, 42);
+    dj.shuffle(42);
+    let mut pr = generators::random_undirected(n, 0.05, 100, 42);
+    generators::connect(&mut pr, 100, 42);
+    pr.shuffle(42);
+    assert_eq!((dj.edges().len(), pr.edges().len()), (13_198, 14_250), "arcs");
+
+    // (run, per level, memory lines, (relaxations, decrease-keys,
+    // extract-mins)).
+    let (arr, list) = (dj.build_array(), dj.build_list());
+    let dijkstra_runs = [
+        (
+            "sim_dijkstra_adj_array",
+            sim_dijkstra_adj_array(&arr, 0, cfg()),
+            [(81_302, 6_118, 1_901), (8_019, 3_685, 0)],
+            3_685,
+            (13_198, 1_389, 512),
+        ),
+        (
+            "sim_dijkstra_adj_list",
+            sim_dijkstra_adj_list(&list, 0, cfg()),
+            [(84_107, 20_340, 3_873), (24_213, 5_334, 0)],
+            5_334,
+            (13_198, 1_387, 512),
+        ),
+    ];
+    for (name, run, levels, memory_lines, (relaxations, decrease_keys, extract_mins)) in
+        dijkstra_runs
+    {
+        let got: Vec<(u64, u64, u64)> =
+            run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
+        assert_eq!(got, levels, "{name}: per-level (accesses, misses, writebacks)");
+        assert_eq!(run.stats.memory_lines_fetched, memory_lines, "{name}: memory lines");
+        let registry = Registry::new();
+        let observed = if name.ends_with("array") {
+            sim_dijkstra_adj_array_observed(&arr, 0, cfg(), &registry)
+        } else {
+            sim_dijkstra_adj_list_observed(&list, 0, cfg(), &registry)
+        };
+        assert_eq!(observed.stats, run.stats, "{name}: observing changed the counts");
+        let counters = registry.snapshot().counters;
+        for (counter, want) in [
+            ("sssp.relaxations", relaxations),
+            ("sssp.decrease_keys", decrease_keys),
+            ("sssp.extract_mins", extract_mins),
+        ] {
+            assert_eq!(counters.get(counter), Some(&want), "{name}: {counter}");
+        }
+    }
+
+    // (run, per level, memory lines, tree weight).
+    let prim_runs = [
+        (
+            "sim_prim_adj_array",
+            sim_prim_adj_array(&pr.build_array(), 0, cfg()),
+            [(98_233, 6_923, 2_393), (9_316, 3_948, 0)],
+            3_948,
+        ),
+        (
+            "sim_prim_adj_list",
+            sim_prim_adj_list(&pr.build_list(), 0, cfg()),
+            [(101_507, 22_439, 4_478), (26_917, 5_728, 0)],
+            5_728,
+        ),
+    ];
+    for (name, run, levels, memory_lines) in prim_runs {
+        let got: Vec<(u64, u64, u64)> =
+            run.stats.levels.iter().map(|l| (l.accesses, l.misses, l.writebacks)).collect();
+        assert_eq!(got, levels, "{name}: per-level (accesses, misses, writebacks)");
+        assert_eq!(run.stats.memory_lines_fetched, memory_lines, "{name}: memory lines");
+        assert_eq!(run.total, 2_381, "{name}: tree weight");
     }
 }
 
