@@ -34,10 +34,10 @@ cargo run -q --release -p cachegraph-analyze -- --sweep \
 
 echo "==> cachegraph-check (model-check all TaskGraph drivers)"
 # FW footprint oracle sweep, then oracle + script replay on the shared
-# engine for all four TaskGraph drivers (parallel tiled FW,
-# delta-stepping sssp, partitioned matching, tiled boolean closure),
-# then barrier-omission mutation sensitivity per driver — every seeded
-# mutation must be DETECTED. Failures print the schedule and replay seed.
+# engine for all three TaskGraph drivers (parallel tiled FW,
+# delta-stepping sssp, partitioned matching), then barrier-omission
+# mutation sensitivity per driver — each of the three seeded mutations
+# must be DETECTED. Failures print the schedule and replay seed.
 cargo run -q --release -p cachegraph-check
 
 echo "==> clippy (deny warnings)"

@@ -1,5 +1,5 @@
 //! Shared script-replay engine for the driver checkers (tiled FW,
-//! delta-stepping SSSP, partitioned matching, parallel closure).
+//! delta-stepping SSSP, partitioned matching).
 //!
 //! Each parallel driver executes its task bodies through a
 //! [`UnitSink`], so the checker can run the real algorithm *serially*

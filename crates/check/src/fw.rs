@@ -84,7 +84,7 @@ fn check_fw_on(costs: &[Weight], cfg: &FwConfig, opts: &ExploreOptions) -> Drive
     // Record each task's script through the driver's phase loop and
     // split, while the tasks update the real matrix.
     let mut recorded = Vec::new();
-    for_each_phase(&layout, cfg.n, cfg.b, m.storage_mut(), |_, phase, tasks| {
+    for_each_phase(&layout, cfg.n, cfg.b, m.storage_mut(), |phase, tasks| {
         let name = match phase {
             Phase::Diagonal => "phase1",
             Phase::RowCol => "phase2",

@@ -28,9 +28,7 @@
 //!   oracle over the full `(n, b)` grid;
 //! * [`delta`] — delta-stepping SSSP (`cachegraph_sssp::delta`);
 //! * [`matching`] — parallel partitioned matching
-//!   (`cachegraph_matching::parallel`);
-//! * [`closure`] — parallel tiled boolean closure
-//!   (`cachegraph_fw::closure_parallel`).
+//!   (`cachegraph_matching::parallel`).
 //!
 //! **Mutation mode** ([`ExploreOptions::merge_phases`]) replays two
 //! barrier-separated phases as one and asserts the checker *detects*
@@ -43,17 +41,15 @@
 //! observed). See DESIGN.md §10.
 //!
 //! Run the full pass (footprint sweep + bounded exploration + mutation
-//! sensitivity, for all four drivers) with
+//! sensitivity, for all three drivers) with
 //! `cargo run -p cachegraph-check`; the same checks run under
 //! `cargo test -p cachegraph-check` as tier-1 tests.
 
-pub mod closure;
 pub mod delta;
 pub mod driver;
 pub mod fw;
 pub mod matching;
 
-pub use closure::{check_closure, check_closure_mutation, ClosureConfig};
 pub use delta::{check_delta, check_delta_mutation, DeltaConfig};
 pub use driver::{
     DriverReport, DriverViolation, ExploreOptions, PhaseScripts, Script, ScriptSink,

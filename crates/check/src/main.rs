@@ -7,8 +7,7 @@
 //! 2. oracle + script replay for each TaskGraph driver over a matrix
 //!    of configurations (exhaustive where the interleaving count
 //!    allows, seeded-random otherwise): parallel tiled FW,
-//!    delta-stepping SSSP, parallel partitioned matching, parallel
-//!    tiled boolean closure;
+//!    delta-stepping SSSP and parallel partitioned matching;
 //! 3. one seeded barrier-omission mutation per driver, asserting the
 //!    checker *detects* the race (sensitivity check).
 //!
@@ -19,9 +18,9 @@
 use std::process::ExitCode;
 
 use cachegraph_check::{
-    check_closure, check_closure_mutation, check_delta, check_delta_mutation, check_fw,
-    check_fw_mutation, check_matching, check_matching_mutation, sweep_footprints, ClosureConfig,
-    DeltaConfig, DriverReport, ExploreOptions, FwConfig, MatchingConfig,
+    check_delta, check_delta_mutation, check_fw, check_fw_mutation, check_matching,
+    check_matching_mutation, sweep_footprints, DeltaConfig, DriverReport, ExploreOptions,
+    FwConfig, MatchingConfig,
 };
 
 /// Sweep ceiling for the footprint oracle.
@@ -134,18 +133,13 @@ fn main() -> ExitCode {
         let cfg = MatchingConfig { n, density: 0.15, parts, threads, seed: args.seed };
         print_driver(&cfg.to_string(), &check_matching(&cfg, &opts), &mut failed);
     }
-    for &(n, b, threads) in &[(10usize, 3usize, 2usize), (12, 4, 4), (16, 5, 3)] {
-        let cfg = ClosureConfig { n, density: 0.12, b, threads, seed: args.seed };
-        print_driver(&cfg.to_string(), &check_closure(&cfg, &opts), &mut failed);
-    }
 
     // 3. Seeded barrier-omission mutations per driver: each must be
     // detected on its guaranteed-conflict fixture.
-    let mutations: [(&str, DriverReport); 4] = [
+    let mutations: [(&str, DriverReport); 3] = [
         ("fw", check_fw_mutation(2, args.seed, &opts)),
         ("delta", check_delta_mutation(2, args.seed, &opts)),
         ("matching", check_matching_mutation(2, args.seed, &opts)),
-        ("closure", check_closure_mutation(2, args.seed, &opts)),
     ];
     for (name, report) in &mutations {
         if let Some(v) = report.races.first() {

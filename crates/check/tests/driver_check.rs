@@ -1,12 +1,12 @@
 //! Tier-1 pass for the TaskGraph driver checkers: every parallel driver
 //! built on `cachegraph-plan` (delta-stepping SSSP, partitioned
-//! matching, tiled boolean closure) must survive the full
+//! matching) must survive the full
 //! oracle + script-replay pipeline cleanly on a sweep of seeds, and its
 //! seeded barrier-omission mutation must be DETECTED.
 
 use cachegraph_check::{
-    check_closure, check_closure_mutation, check_delta, check_delta_mutation, check_matching,
-    check_matching_mutation, ClosureConfig, DeltaConfig, ExploreOptions, MatchingConfig,
+    check_delta, check_delta_mutation, check_matching, check_matching_mutation, DeltaConfig,
+    ExploreOptions, MatchingConfig,
 };
 
 #[test]
@@ -41,18 +41,6 @@ fn matching_sweep_is_clean() {
 }
 
 #[test]
-fn closure_sweep_is_clean() {
-    for seed in [0x5eed, 0xace0, 0xbeef] {
-        for (b, threads) in [(3, 2), (4, 4)] {
-            let cfg = ClosureConfig { n: 12, density: 0.12, b, threads, seed };
-            let report = check_closure(&cfg, &ExploreOptions::default());
-            assert!(report.is_clean(), "{cfg}: {report:?}");
-            assert!(report.schedules > 0, "{cfg}: no schedules explored");
-        }
-    }
-}
-
-#[test]
 fn every_driver_mutation_is_detected() {
     let opts = ExploreOptions::default();
     for seed in [0x5eed, 0xace0] {
@@ -60,8 +48,6 @@ fn every_driver_mutation_is_detected() {
         assert!(!delta.races.is_empty(), "seed {seed:#x}: delta mutation undetected");
         let matching = check_matching_mutation(2, seed, &opts);
         assert!(!matching.races.is_empty(), "seed {seed:#x}: matching mutation undetected");
-        let closure = check_closure_mutation(2, seed, &opts);
-        assert!(!closure.races.is_empty(), "seed {seed:#x}: closure mutation undetected");
     }
 }
 
@@ -74,7 +60,6 @@ fn mutation_races_are_flagged_on_the_canonical_schedule() {
     for report in [
         check_delta_mutation(4, 0x5eed, &opts),
         check_matching_mutation(4, 0x5eed, &opts),
-        check_closure_mutation(4, 0x5eed, &opts),
     ] {
         let race = &report.races[0];
         assert!(

@@ -1183,12 +1183,14 @@ fn cmd_query(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
     let op_name = args.get_or("op", "health");
     let Some(op) = ServeOp::parse(op_name) else {
         return Err(CliError::Invalid(format!(
-            "--op: '{op_name}' is not path|reach|match|metrics|health|stats|trace|shutdown"
+            "--op: '{op_name}' is not path|reach|sssp|match|metrics|health|stats|trace|shutdown"
         )));
     };
     let mut req = ServeRequest::plain(op);
-    if matches!(op, ServeOp::Path | ServeOp::Reach) {
+    if matches!(op, ServeOp::Path | ServeOp::Reach | ServeOp::Sssp) {
         req.src = args.parse_required("src", "vertex id")?;
+    }
+    if matches!(op, ServeOp::Path | ServeOp::Reach) {
         req.dst = args.parse_required("dst", "vertex id")?;
     }
     if let Some(ms) = args.get("deadline-ms") {

@@ -55,16 +55,20 @@ commands:
   profile   render cache profiles   A.json [--label L]
   trace     render request traces   A.json [--op OP] [--limit N]
   serve     crash-only query daemon [--port P] [--port-file FILE]
-                                    [--gen-n N --density D --seed S]
+                                    [--gen-n N --density D --seed S --max-weight W]
+                                    [--apsp-threshold N] [--tile B]
+                                    [--threads T] [--delta D]
                                     [--workers W --queue-high H --queue-low L]
                                     [--deadline-ms MS] [--drain-ms MS] [--hang-ms MS]
+                                    [--retry-after-ms MS] [--read-timeout-ms MS]
+                                    [--cache-shards S --cache-per-shard C]
                                     [--fault-plan panic:OP,hang:OP,kill:OP]
                                     [--metrics FILE] [--trace-log FILE] [--no-trace]
                                     [--flight-len N] [--trace-sample-log2 K]
                                     [--trace-seed S]
   query     one request             --port P | --port-file FILE
-                                    [--op path|reach|match|metrics|health|stats|trace|shutdown]
-                                    [--src V --dst V] [--deadline-ms MS]
+                                    [--op path|reach|sssp|match|metrics|health|stats|trace|shutdown]
+                                    [--src V] [--dst V] [--deadline-ms MS]
   loadgen   drive a running daemon  --port P | --port-file FILE
                                     [--clients C --requests R --seed S]
                                     [--max-retries N --backoff-ms MS --think-ms MS]
@@ -82,6 +86,13 @@ repro runs each experiment (fw, dijkstra, matching) supervised: panics
 and --timeout-secs overruns become structured outcomes in the report,
 --journal streams one checkpoint record per experiment, and --resume
 skips experiments a previous journal already completed.
+
+serve precomputes the tiled-FW distance table when --gen-n N is at most
+--apsp-threshold (default 128) and otherwise answers path and reach by a
+bidirectional search. reach is a finite distance either way, so serve
+requires max(W, 1) * (N - 1) < 2^32 - 1 for --max-weight W: no shortest
+path may saturate to 2^32 - 1, the distance that means no path. query's
+path and reach take --src and --dst; sssp takes --src.
 
 serve answers length-prefixed JSON frames on loopback with per-request
 deadlines, BUSY load shedding past --queue-high, per-request panic
@@ -105,5 +116,6 @@ under --strict, a query answered with a non-OK status, a loadgen run
 with unresolved requests); 2 usage error (unknown command, flag, or
 argument; a gen input it rejects: a --density outside [0, 1], an odd
 --n for --kind bipartite; or a serve engine config it rejects: an odd
---gen-n, a --density outside [0, 1]).
+--gen-n, a --density outside [0, 1], --tile 0, a --max-weight past the
+bound above).
 ";

@@ -237,6 +237,12 @@ fn query_subcommand_honours_the_exit_code_contract() {
     let health = run(&["query", "--port", &port.to_string(), "--op", "health"]);
     assert_eq!(health.status.code(), Some(0));
 
+    // sssp runs from the given --src.
+    let sssp = run(&["query", "--port", &port.to_string(), "--op", "sssp", "--src", "3"]);
+    assert_eq!(sssp.status.code(), Some(0), "{}", String::from_utf8_lossy(&sssp.stderr));
+    let line = String::from_utf8_lossy(&sssp.stdout);
+    assert!(line.contains("\"src\":3"), "{line}");
+
     // A non-OK response (out-of-range vertex -> BAD_REQUEST) exits 1.
     let bad = run(&["query", "--port", &port.to_string(), "--op", "path", "--src", "0", "--dst", "9999"]);
     assert_eq!(bad.status.code(), Some(1), "non-OK response is a runtime failure");
@@ -254,9 +260,15 @@ fn query_subcommand_honours_the_exit_code_contract() {
 
 #[test]
 fn serve_rejects_an_invalid_engine_config_as_a_usage_error() {
-    for (flag, value, names) in
-        [("--gen-n", "201", "n = 201"), ("--density", "1.5", "density = 1.5")]
-    {
+    // At the default --gen-n 256, 16843009 * 255 = 2^32 - 1 = INF is the
+    // first weight at which a simple path could saturate.
+    for (flag, value, names) in [
+        ("--gen-n", "201", "n = 201"),
+        ("--density", "1.5", "density = 1.5"),
+        ("--max-weight", "16843009", "max_weight = 16843009"),
+        ("--max-weight", "4294967295", "max_weight = 4294967295"),
+        ("--tile", "0", "tile = 0"),
+    ] {
         let out = run(&["serve", flag, value, "--no-trace"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "serve {flag} {value}: {stderr}");
@@ -269,7 +281,16 @@ fn help_documents_the_serve_commands_and_exit_codes() {
     let help = run(&["--help"]);
     assert_eq!(help.status.code(), Some(0));
     let text = String::from_utf8_lossy(&help.stdout);
-    for needle in ["serve", "query", "loadgen", "--fault-plan", "exit codes:", "--port-file"] {
+    for needle in [
+        "serve",
+        "query",
+        "loadgen",
+        "--fault-plan",
+        "exit codes:",
+        "--port-file",
+        "--max-weight",
+        "--apsp-threshold",
+    ] {
         assert!(text.contains(needle), "--help must mention {needle}");
     }
 }

@@ -9,9 +9,9 @@
 //! 64x denser working set than the `u32` distance kernels — the layout
 //! lessons apply unchanged, the constants just shift.
 //!
-//! Two implementations are provided: the straightforward iterative one
-//! and a tiled one with the same Fig. 4 phase structure as
-//! [`fw_tiled`](crate::fw_tiled), both on bit-packed rows.
+//! One implementation is provided: the straightforward iterative one on
+//! bit-packed rows. The query daemon builds no closure: it answers
+//! reachability from its distances, where a finite distance is a path.
 
 use cachegraph_graph::{Graph, VertexId};
 
@@ -46,25 +46,6 @@ impl BitMatrix {
     #[inline]
     pub fn set(&mut self, i: usize, j: usize) {
         self.bits[i * self.words_per_row + j / 64] |= 1 << (j % 64);
-    }
-
-    /// Words per bit-packed row (the word stride of the footprint
-    /// units used by the parallel closure driver).
-    pub fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
-    /// The raw bit words, row-major — row `i` is
-    /// `bits()[i * words_per_row()..][..words_per_row()]`. Exposed for
-    /// the parallel closure driver's checker, which replays row tasks
-    /// against shadow memory at word granularity.
-    pub fn bits(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Mutable raw bit words, row-major.
-    pub fn bits_mut(&mut self) -> &mut [u64] {
-        &mut self.bits
     }
 
     /// `row(dst) |= row(src)`; returns true if `dst` changed.
@@ -125,43 +106,6 @@ pub fn transitive_closure_of<G: Graph>(g: &G) -> BitMatrix {
     transitive_closure(BitMatrix::from_graph(g))
 }
 
-/// Tiled transitive closure with the Fig. 4 phase structure: tiles are
-/// `b` *rows* x `b` *column-words* of 64 bits; each block iteration
-/// closes the diagonal row-band first, then propagates it. Equivalent to
-/// the iterative version (the boolean semiring satisfies Claim 1 like
-/// min-plus: extra ORs of already-reachable sets are idempotent).
-pub fn transitive_closure_tiled(mut reach: BitMatrix, b: usize) -> BitMatrix {
-    assert!(b >= 1, "band height must be at least 1");
-    let n = reach.n;
-    let bands = n.div_ceil(b);
-    for band in 0..bands {
-        let lo = band * b;
-        let hi = (lo + b).min(n);
-        // Phase 1: close the band against itself.
-        for k in lo..hi {
-            for i in lo..hi {
-                if i != k && reach.get(i, k) {
-                    reach.or_row_into(k, i);
-                }
-            }
-        }
-        // Phase 2: propagate the closed band into every other row.
-        for k in lo..hi {
-            for i in 0..n {
-                if (i < lo || i >= hi) && reach.get(i, k) {
-                    reach.or_row_into(k, i);
-                }
-            }
-        }
-        // No further phase is needed: for every k the band rows use
-        // intermediates up to the band end and outside rows use the fully
-        // closed band row — both are the `k' >= k - 1` relaxation Claim 1
-        // licenses, so one pass computes the exact closure just as the
-        // plain iteration does.
-    }
-    reach
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,18 +136,6 @@ mod tests {
             let g = generators::random_directed(80, 0.03, 1, seed).build_array();
             let expect = closure_by_bfs(&g);
             assert_eq!(transitive_closure_of(&g), expect, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn tiled_matches_iterative() {
-        for seed in 0..6 {
-            let g = generators::random_directed(70, 0.04, 1, 100 + seed).build_array();
-            let base = transitive_closure_of(&g);
-            for b in [1usize, 7, 16, 64, 100] {
-                let tiled = transitive_closure_tiled(BitMatrix::from_graph(&g), b);
-                assert_eq!(tiled, base, "seed {seed} b {b}");
-            }
         }
     }
 

@@ -354,7 +354,7 @@ pub fn sim_tiled_parallel_profiled(
             (h, scope)
         })
         .collect();
-    for_each_phase(&layout, n, b, &mut data, |_, phase, tasks| {
+    for_each_phase(&layout, n, b, &mut data, |phase, tasks| {
         if phase == Phase::Diagonal {
             // The sequential diagonal tile, simulated on worker 0 under
             // a dedicated scope.

@@ -46,7 +46,6 @@
 
 mod auto;
 pub mod closure;
-pub mod closure_parallel;
 mod copy_tiled;
 pub mod instrumented;
 mod iterative;
@@ -61,11 +60,7 @@ mod recursive;
 mod tiled;
 
 pub use auto::{solve_apsp, solve_apsp_with_cache, DEFAULT_L1_ASSOC, DEFAULT_L1_BYTES};
-pub use closure::{transitive_closure, transitive_closure_of, transitive_closure_tiled, BitMatrix};
-pub use closure_parallel::{
-    close_band, closure_band_plan, propagate_row, transitive_closure_tiled_parallel,
-    transitive_closure_tiled_parallel_cancellable, ClosureBandPlan, FwCancelled,
-};
+pub use closure::{transitive_closure, transitive_closure_of, BitMatrix};
 pub use copy_tiled::fw_tiled_copy;
 pub use cachegraph_graph::{Weight, INF};
 pub use iterative::{fw_iterative, fw_iterative_slice};

@@ -8,9 +8,9 @@
 //! kernel calls, at tile/base-case granularity.
 //!
 //! Span naming (see EXPERIMENTS.md): roots are `fw.<variant>`
-//! (`fw.iterative`, `fw.tiled`, `fw.recursive`, `fw.parallel`); the
-//! tiled variants open one `tile[t]` (or `block[t]`) child per block
-//! iteration. Counters: `fw.kernel_calls`, `fw.base_case_hits`.
+//! (`fw.iterative`, `fw.tiled`, `fw.recursive`); the tiled variant opens
+//! one `tile[t]` child per block iteration. Counters: `fw.kernel_calls`,
+//! `fw.base_case_hits`.
 
 use cachegraph_obs::{Registry, Span};
 
@@ -157,25 +157,5 @@ mod tests {
         let mut observed = FwMatrix::from_costs(BlockLayout::new(n, 4), &costs);
         fw_tiled_observed(&mut observed, 4, &Registry::disabled());
         assert_eq!(plain.to_row_major(), observed.to_row_major());
-    }
-
-    #[test]
-    fn observed_parallel_shares_counter_across_threads() {
-        let n = 16;
-        let b = 4;
-        let costs = random_costs(n, 0.3, 5);
-        let mut expect = costs.clone();
-        fw_iterative_slice(&mut expect, n);
-
-        let reg = Registry::new();
-        let mut m = FwMatrix::from_costs(BlockLayout::new(n, b), &costs);
-        crate::parallel::fw_tiled_parallel_observed(&mut m, b, 4, &reg);
-        assert_eq!(m.to_row_major(), expect);
-
-        let snap = reg.snapshot();
-        let tiles = (n / b) as u64;
-        // Same kernel-call count as the sequential tiled variant.
-        assert_eq!(snap.counters.get("fw.kernel_calls"), Some(&(tiles * tiles * tiles)));
-        assert_eq!(snap.spans.last().map(|s| s.path.as_str()), Some("fw.parallel"));
     }
 }

@@ -39,7 +39,6 @@
 
 use cachegraph_graph::Weight;
 use cachegraph_layout::{BlockLayout, ZMorton};
-use cachegraph_obs::{Counter, Registry};
 use cachegraph_plan::{run_tasks_mut, worker_count, UnitSink};
 
 use crate::kernel::{fwi_access, fwi_tiles, CellAccess, StridedView, View};
@@ -116,25 +115,25 @@ impl<S: UnitSink> CellAccess for TracedTiles<'_, '_, S> {
     }
 }
 
-/// The phase loop of every parallel tiled run: for each block iteration
-/// `t`, each phase's tasks from the [`Planner`], split into borrows of
-/// `storage` and handed to `run` with `t` and the phase. `run` must
-/// finish every task before it returns; that return is the barrier.
+/// The phase loop of every parallel tiled run: for each block iteration,
+/// each phase's tasks from the [`Planner`], split into borrows of
+/// `storage` and handed to `run` with the phase. `run` must finish every
+/// task before it returns; that return is the barrier.
 pub fn for_each_phase<L: ContiguousTiles>(
     layout: &L,
     n: usize,
     b: usize,
     storage: &mut [Weight],
-    mut run: impl FnMut(usize, Phase, &mut [TileBorrow<'_>]),
+    mut run: impl FnMut(Phase, &mut [TileBorrow<'_>]),
 ) {
     let planner = Planner::new(layout, n, b);
     let mut plan = Vec::new();
     for t in 0..planner.real_tiles() {
-        run(t, Phase::Diagonal, &mut split(storage, &[planner.phase1(t)], b));
+        run(Phase::Diagonal, &mut split(storage, &[planner.phase1(t)], b));
         planner.phase2(t, &mut plan);
-        run(t, Phase::RowCol, &mut split(storage, &plan, b));
+        run(Phase::RowCol, &mut split(storage, &plan, b));
         planner.phase3(t, &mut plan);
-        run(t, Phase::Rest, &mut split(storage, &plan, b));
+        run(Phase::Rest, &mut split(storage, &plan, b));
     }
 }
 
@@ -197,42 +196,15 @@ fn split<'m>(storage: &'m mut [Weight], tasks: &[TileTask], b: usize) -> Vec<Til
     borrows
 }
 
-/// A task of the timed runs: the slice kernel on its tiles.
-fn run_kernel(task: &mut TileBorrow<'_>, b: usize, kernel_calls: &Counter) {
-    fwi_tiles(task.a, task.b, task.c, b);
-    kernel_calls.incr();
-}
-
-/// Parallel tiled Floyd-Warshall with tile size `b` on `threads` threads.
-/// Produces the same result as [`crate::fw_tiled`].
+/// Parallel tiled Floyd-Warshall with tile size `b` on `threads` threads:
+/// each task runs the slice kernel on its tiles. Produces the same result
+/// as [`crate::fw_tiled`].
 pub fn fw_tiled_parallel<L: ContiguousTiles>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
-    fw_tiled_parallel_observed(m, b, threads, &Registry::disabled());
-}
-
-/// [`fw_tiled_parallel`] reporting into `registry`: a `fw.parallel` root
-/// span with one `block[t]` child per block iteration, and a
-/// `fw.kernel_calls` counter shared across the scoped worker threads.
-/// With a disabled registry every instrumentation point is a branch, so
-/// this *is* the implementation behind [`fw_tiled_parallel`].
-pub fn fw_tiled_parallel_observed<L: ContiguousTiles>(
-    m: &mut FwMatrix<L>,
-    b: usize,
-    threads: usize,
-    registry: &Registry,
-) {
     assert!(threads >= 1, "need at least one thread");
-    let root = registry.span("fw.parallel");
-    let kernel_calls = registry.counter("fw.kernel_calls");
     let layout = m.layout().clone();
     let n = m.n();
-    let mut block = None;
-    for_each_phase(&layout, n, b, m.storage_mut(), |t, phase, tasks| {
-        if phase == Phase::Diagonal {
-            // Close block `t - 1`'s span before opening block `t`'s.
-            drop(block.take());
-            block = registry.is_enabled().then(|| root.child(&format!("block[{t}]")));
-        }
-        run_tasks_mut(tasks, threads, |_, task| run_kernel(task, b, &kernel_calls));
+    for_each_phase(&layout, n, b, m.storage_mut(), |_, tasks| {
+        run_tasks_mut(tasks, threads, |_, task| fwi_tiles(task.a, task.b, task.c, b));
     });
 }
 
@@ -244,27 +216,25 @@ pub fn fw_tiled_parallel_observed<L: ContiguousTiles>(
 #[doc(hidden)]
 pub fn fw_tiled_parallel_handrolled<L: ContiguousTiles>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
     assert!(threads >= 1, "need at least one thread");
-    let kernel_calls = Registry::disabled().counter("fw.kernel_calls");
     let layout = m.layout().clone();
     let n = m.n();
-    for_each_phase(&layout, n, b, m.storage_mut(), |_, _, tasks| {
+    for_each_phase(&layout, n, b, m.storage_mut(), |_, tasks| {
         if tasks.is_empty() {
             return;
         }
         let workers = worker_count(tasks.len(), threads);
         if workers == 1 {
             for task in tasks {
-                run_kernel(task, b, &kernel_calls);
+                fwi_tiles(task.a, task.b, task.c, b);
             }
             return;
         }
         let chunk = tasks.len().div_ceil(workers);
         std::thread::scope(|s| {
             for slice in tasks.chunks_mut(chunk) {
-                let kernel_calls = kernel_calls.clone();
                 s.spawn(move || {
                     for task in slice {
-                        run_kernel(task, b, &kernel_calls);
+                        fwi_tiles(task.a, task.b, task.c, b);
                     }
                 });
             }

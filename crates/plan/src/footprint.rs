@@ -2,11 +2,10 @@
 //!
 //! A *footprint domain* is whatever a solver's tasks contend over: flat
 //! matrix cells for tiled FW, vertex ids and proposal slots for
-//! delta-stepping, mate-array entries for matching, bit-row words for the
-//! boolean closure. The oracle does not care — [`phase_overlaps`] is set
-//! arithmetic over any ordered unit type, and [`TaskGraph`] fixes the
-//! concrete domain to opaque `u64` units so whole plans can be shipped to
-//! `cachegraph-check` uniformly.
+//! delta-stepping, mate-array entries for matching. The oracle does not
+//! care — [`phase_overlaps`] is set arithmetic over any ordered unit
+//! type, and [`TaskGraph`] fixes the concrete domain to opaque `u64`
+//! units so whole plans can be shipped to `cachegraph-check` uniformly.
 //!
 //! The claims proven per phase are exactly the PR 5 ones:
 //!

@@ -18,7 +18,7 @@
 //!
 //! The FW driver's footprints are flat matrix-cell ranges; delta-stepping
 //! Dijkstra uses vertex and proposal-slot ids; partitioned matching uses
-//! mate-array entries; the boolean closure driver uses bit-row words.
+//! mate-array entries.
 //! Everything here is generic over that choice: a footprint is just an
 //! ordered set of opaque units, and the shadow memory is generic over the
 //! stored value type.

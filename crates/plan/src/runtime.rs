@@ -16,8 +16,8 @@
 //! * [`run_tasks_mut`] — each task *owns* its payload (`&mut T`), which
 //!   carries disjoint mutable borrows carved out beforehand
 //!   (`split_at_mut`, `chunks_exact_mut`, per-task output vectors); the
-//!   body never needs `unsafe`. Tiled FW, delta-stepping, matching, and
-//!   the closure driver use this.
+//!   body never needs `unsafe`. Tiled FW, delta-stepping and matching
+//!   use this.
 //!
 //! With one worker both entry points degenerate to an inline loop on the
 //! calling thread — no spawn, and bit-identical to the parallel path by

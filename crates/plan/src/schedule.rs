@@ -18,10 +18,10 @@
 //!
 //! What a *step* is belongs to the driver's checker: one outer-`k` kernel
 //! iteration for tiled FW, one frontier vertex for a delta-stepping
-//! gather task, one augmentation round for matching, one row for the
-//! closure driver. Steps only need to be coarse enough that interleaving
-//! below them cannot change what the race bookkeeping sees — true for
-//! any shadow that records reader/writer *sets* per unit and phase.
+//! gather task, one augmentation round for matching. Steps only need to
+//! be coarse enough that interleaving below them cannot change what the
+//! race bookkeeping sees — true for any shadow that records
+//! reader/writer *sets* per unit and phase.
 
 use cachegraph_rng::StdRng;
 

@@ -15,8 +15,7 @@
 //!
 //! The FW checker instantiates `V = Weight` over matrix cells; the
 //! delta-stepping checker uses distance/predecessor pairs and proposal
-//! slots; the matching checker uses mate entries; the closure checker
-//! uses bit-row words.
+//! slots; the matching checker uses mate entries.
 
 /// How a pair of same-phase accesses conflicts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

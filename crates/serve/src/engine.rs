@@ -16,8 +16,6 @@
 //!   target over the reverse graph, and stops where the two meet, so a
 //!   point query touches a small ball around each endpoint instead of
 //!   about half the graph;
-//! * for small instances, an exact reachability matrix via the
-//!   *parallel* tiled boolean closure — `reach` becomes one bit read;
 //! * a companion bipartite graph for the `match` op, streamed from the
 //!   generator's sampler straight into a left-only CSR
 //!   ([`generators::random_bipartite_left`]): the Fig. 8 augmenting
@@ -26,6 +24,13 @@
 //!   carves its cache-sized parts from that CSR's left arcs, solves
 //!   once under the first `match` request's deadline, and the size is
 //!   memoised.
+//!
+//! `reach` is `distance(src, dst) != INF` on both sides of the
+//! threshold: Floyd-Warshall over the boolean semiring is the transitive
+//! closure (paper §1), so the APSP table already is the reachability
+//! matrix. That reading is exact because [`start`](crate::start)
+//! rejects any `max_weight` at which a shortest path could saturate to
+//! [`INF`].
 //!
 //! The `sssp` op runs the parallel delta-stepping driver at query time:
 //! a full single-source tree is exactly the shape where the TaskGraph
@@ -38,7 +43,7 @@
 //! propagated down as a `Fn() -> bool + Sync` hook that parallel
 //! drivers poll from every worker.
 
-use cachegraph_fw::{fw_tiled, transitive_closure_tiled_parallel, BitMatrix, FwMatrix};
+use cachegraph_fw::{fw_tiled, FwMatrix};
 use cachegraph_graph::{generators, AdjacencyArray, EdgeListBuilder, VertexId, Weight, INF};
 use cachegraph_layout::BlockLayout;
 use cachegraph_matching::{
@@ -64,7 +69,8 @@ pub struct EngineConfig {
     pub n: usize,
     /// Edge density of the generated graph, in `[0, 1]`.
     pub density: f64,
-    /// Maximum edge weight.
+    /// Maximum edge weight: `max_weight.max(1) · (n − 1)` must stay
+    /// below [`INF`], so that no shortest path saturates.
     pub max_weight: Weight,
     /// Generator seed (the bipartite companion uses `seed + 1`).
     pub seed: u64,
@@ -72,14 +78,14 @@ pub struct EngineConfig {
     /// tiled Floyd-Warshall; above it, keep the reverse graph for the
     /// bidirectional search instead.
     pub apsp_threshold: usize,
-    /// Tile size for the APSP precompute.
+    /// Tile size for the APSP precompute; at least 1.
     pub tile: usize,
     /// Not read: the engine builds no landmark sketches. The field
     /// exists only so the benchmark package (`perfbench/`), which still
     /// reads it, keeps compiling unchanged.
     pub landmarks: usize,
     /// Worker threads for the parallel TaskGraph drivers (delta-stepping
-    /// `sssp`, partitioned `match`, closure precompute).
+    /// `sssp` and partitioned `match`).
     pub threads: usize,
     /// Bucket width for the delta-stepping `sssp` op.
     pub delta: Weight,
@@ -102,10 +108,15 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Check the fields [`QueryEngine::build`] would otherwise panic on:
-    /// `n` must be positive and even, and `density` must lie in
-    /// `[0, 1]`. The error is [`io::ErrorKind::InvalidInput`] and names
-    /// the field.
+    /// Check the fields [`QueryEngine::build`] would otherwise panic on,
+    /// or answer wrongly from: `n` must be positive and even, `density`
+    /// must lie in `[0, 1]`, `tile` must be positive, and
+    /// `max_weight.max(1) · (n − 1)` must stay below [`INF`]. A shortest
+    /// path is simple, so it has at most `n − 1` arcs: under that bound
+    /// every finite distance is below `INF`, and a sum that saturates
+    /// always exceeds the distance it competes with. `INF` then means
+    /// exactly "no path", in the APSP table and in the search. The
+    /// error is [`io::ErrorKind::InvalidInput`] and names the field.
     pub(crate) fn validate(&self) -> io::Result<()> {
         let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if self.n == 0 || !self.n.is_multiple_of(2) {
@@ -116,6 +127,18 @@ impl EngineConfig {
         }
         if !(0.0..=1.0).contains(&self.density) {
             return invalid(format!("engine config: density = {} must be in [0, 1]", self.density));
+        }
+        if self.tile == 0 {
+            return invalid("engine config: tile = 0 must be at least 1".to_string());
+        }
+        let longest = u128::from(self.max_weight.max(1)) * (self.n as u128 - 1);
+        if longest >= u128::from(INF) {
+            return invalid(format!(
+                "engine config: max_weight = {} times n - 1 = {} must stay below {INF}, \
+                 or a shortest path could saturate to 'no path'",
+                self.max_weight,
+                self.n - 1
+            ));
         }
         Ok(())
     }
@@ -162,9 +185,6 @@ pub struct QueryEngine {
     graph: AdjacencyArray,
     n: usize,
     exact: Exact,
-    /// Exact reachability bits (small instances only), built by the
-    /// parallel tiled boolean closure.
-    closure: Option<BitMatrix>,
     /// The `match` companion's left → right arcs over all `n`
     /// vertices (right vertices have none).
     bipartite: AdjacencyArray,
@@ -179,22 +199,19 @@ impl QueryEngine {
     /// Build the engine: generate the graph, then precompute either the
     /// APSP table (tiled FW; startup has no deadline, so nothing polls)
     /// or the reverse graph, and stream the
-    /// `match` companion. Expects a positive, even `n` and a `density`
-    /// in `[0, 1]`, and may panic otherwise; [`start`](crate::start)
-    /// rejects other configs with a typed error before building.
+    /// `match` companion. Expects a positive, even `n`, a `density` in
+    /// `[0, 1]`, a positive `tile` and a `max_weight` under its bound,
+    /// and may panic or answer wrongly otherwise;
+    /// [`start`](crate::start) rejects other configs with a typed error
+    /// before building.
     pub fn build(cfg: &EngineConfig) -> Self {
         let threads = cfg.threads.max(1);
         let builder = generators::random_directed(cfg.n, cfg.density, cfg.max_weight, cfg.seed);
         let graph = builder.build_array();
-        let (exact, closure) = if cfg.n <= cfg.apsp_threshold {
-            let reach = transitive_closure_tiled_parallel(
-                BitMatrix::from_graph(&graph),
-                cfg.tile.max(1),
-                threads,
-            );
-            (Exact::Table(Self::apsp_table(&builder, cfg)), Some(reach))
+        let exact = if cfg.n <= cfg.apsp_threshold {
+            Exact::Table(Self::apsp_table(&builder, cfg))
         } else {
-            (Exact::Search(builder.reversed().build_array()), None)
+            Exact::Search(builder.reversed().build_array())
         };
         drop(builder); // free the edge list before the companion streams in
         let bipartite =
@@ -203,7 +220,6 @@ impl QueryEngine {
             graph,
             n: cfg.n,
             exact,
-            closure,
             bipartite,
             n_left: cfg.n / 2,
             matching_size: Mutex::new(None),
@@ -282,19 +298,14 @@ impl QueryEngine {
         Ok(if d == INF { json.field("dist", Json::Null) } else { json.field("dist", u64::from(d)) })
     }
 
-    /// The `reach` answer payload: one bit read when the closure matrix
-    /// was precomputed, otherwise derived from the exact distance.
+    /// The `reach` answer payload: whether the exact distance is finite
+    /// (one table read below the threshold, the search above it).
     pub fn reach(
         &self,
         src: VertexId,
         dst: VertexId,
         cancel: &(impl Fn() -> bool + Sync),
     ) -> Result<Json, QueryError> {
-        if let Some(closure) = &self.closure {
-            self.check_vertex(src)?;
-            self.check_vertex(dst)?;
-            return Ok(Json::obj().field("reachable", closure.get(src as usize, dst as usize)));
-        }
         let d = self.distance(src, dst, cancel)?;
         Ok(Json::obj().field("reachable", d != INF))
     }
@@ -358,7 +369,7 @@ impl QueryEngine {
 mod tests {
     use super::*;
     use cachegraph_matching::{find_matching, verify};
-    use cachegraph_sssp::dijkstra_binary_heap;
+    use cachegraph_sssp::{bfs, dijkstra_binary_heap};
 
     fn small_cfg() -> EngineConfig {
         EngineConfig { n: 48, density: 0.08, seed: 7, ..EngineConfig::default() }
@@ -469,18 +480,33 @@ mod tests {
         assert_eq!(e.sssp(9999, &|| false), Err(QueryError::BadVertex { v: 9999, n: cfg.n }));
     }
 
+    /// At the largest `max_weight` start-up accepts, a shortest path
+    /// can come close to `INF` but never saturate into it: on every pair,
+    /// below the threshold (table) and above it (search), `reach` and
+    /// `path`'s `reachable` agree with BFS reachability.
     #[test]
-    fn reach_reads_closure_bits_and_agrees_with_distance() {
-        let e = QueryEngine::build(&small_cfg());
-        assert!(e.closure.is_some(), "small instance should precompute the closure");
-        for (s, d) in [(0u32, 1u32), (3, 40), (7, 7), (19, 2)] {
-            let bit = e.reach(s, d, &|| false).expect("ok");
-            let dist = e.distance(s, d, &|| false).expect("ok");
-            assert_eq!(
-                bit.get("reachable"),
-                Some(&Json::Bool(dist != INF)),
-                "{s} -> {d}: closure bit disagrees with distance"
-            );
+    fn reach_agrees_with_bfs_at_the_largest_accepted_weight() {
+        for base in [small_cfg(), large_cfg()] {
+            let max_weight = (INF - 1) / (base.n as Weight - 1);
+            let cfg = EngineConfig { max_weight, ..base };
+            assert!(cfg.validate().is_ok(), "n = {}: {max_weight} rejected", cfg.n);
+            let next = EngineConfig { max_weight: max_weight + 1, ..cfg.clone() };
+            let err = next.validate().expect_err("the next weight can saturate");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            let e = QueryEngine::build(&cfg);
+            let g = generators::random_directed(cfg.n, cfg.density, cfg.max_weight, cfg.seed)
+                .build_array();
+            for src in 0..cfg.n as VertexId {
+                let hops = bfs(&g, src).hops;
+                for dst in 0..cfg.n as VertexId {
+                    let want = Json::Bool(hops[dst as usize] != u32::MAX);
+                    let reach = e.reach(src, dst, &|| false).expect("not cancelled");
+                    let path = e.path(src, dst, &|| false).expect("not cancelled");
+                    let at = format!("n = {}: {src} -> {dst}", cfg.n);
+                    assert_eq!(reach.get("reachable"), Some(&want), "reach {at}");
+                    assert_eq!(path.get("reachable"), Some(&want), "path {at}");
+                }
+            }
         }
     }
 }

@@ -8,9 +8,10 @@
 //! carves its parts from), and answer point-to-point `path` / `reach` /
 //! `match` queries through a fixed worker pool fronted by a sharded,
 //! cache-line-aligned LRU result cache. A config the engine cannot be
-//! built from (an odd `n`, a `density` outside `[0, 1]`) fails
-//! [`start`] with a typed `InvalidInput` error before anything is
-//! bound.
+//! built from, or would answer wrongly from (an odd `n`, a `density`
+//! outside `[0, 1]`, a zero `tile`, a `max_weight` at which a shortest
+//! path could saturate to `INF`), fails [`start`] with a typed
+//! `InvalidInput` error before anything is bound.
 //!
 //! The robustness layer is the point (this is where "optimised for
 //! cache" meets "keeps running"):

@@ -492,9 +492,11 @@ impl ServerHandle {
 
 /// Validate the engine config, bind `127.0.0.1:port` (0 = ephemeral),
 /// build the engine, start the acceptor and worker pool, and return the
-/// handle. An engine config with a zero or odd `n` or a `density`
-/// outside `[0, 1]` fails with [`std::io::ErrorKind::InvalidInput`],
-/// naming the field, before anything is bound or built.
+/// handle. An engine config with a zero or odd `n`, a `density`
+/// outside `[0, 1]`, a zero `tile`, or a `max_weight` with
+/// `max_weight.max(1) · (n − 1) ≥ INF` fails with
+/// [`std::io::ErrorKind::InvalidInput`], naming the field, before
+/// anything is bound or built.
 pub fn start(
     cfg: ServerConfig,
     fault_plan: FaultPlan,

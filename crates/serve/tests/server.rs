@@ -4,7 +4,7 @@
 
 use std::time::{Duration, Instant};
 
-use cachegraph_graph::generators;
+use cachegraph_graph::{generators, INF};
 use cachegraph_obs::{Json, Registry};
 use cachegraph_serve::{
     report_from_response, request_once, start, EngineConfig, FaultPlan, Op, Request, Response,
@@ -40,6 +40,14 @@ fn invalid_engine_configs_fail_start_with_invalid_input() {
     for density in [1.5, f64::NAN] {
         cases.push((with(EngineConfig { density, ..base.clone() }), format!("density = {density}")));
     }
+    // The first weight at which a simple path of n - 1 arcs could sum to
+    // INF, and INF itself.
+    let first_saturating = (INF - 1) / (base.n as u32 - 1) + 1;
+    for max_weight in [first_saturating, INF] {
+        let cfg = with(EngineConfig { max_weight, ..base.clone() });
+        cases.push((cfg, format!("max_weight = {max_weight}")));
+    }
+    cases.push((with(EngineConfig { tile: 0, ..base.clone() }), "tile = 0".to_string()));
     for (cfg, names) in cases {
         match start(cfg, FaultPlan::none(), Registry::new()) {
             Ok(handle) => {
